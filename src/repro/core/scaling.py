@@ -39,7 +39,7 @@ from ..packing.livbp import LIVBPwFCProblem
 from ..packing.two_step import pack_initial_group
 from ..simulation.trace import TraceRecorder
 from ..units import DAY, num_epochs
-from ..workload.activity import ActivityItem
+from ..workload.activity import ActivityItem, concurrency_profile
 from .master import DeployedGroup
 from .monitor import GroupActivityMonitor
 from .routing import QueryRouter
@@ -251,9 +251,7 @@ class LightweightScaling(ScalingPolicy):
             return []
         d = num_epochs(max(now - start, self.identification_epoch_s), self.identification_epoch_s)
         r = monitor.replication_factor
-        counts = np.zeros(d, dtype=np.int32)
-        for item in items:
-            counts[item.epochs] += 1
+        counts = concurrency_profile(items, d)
         remaining = {item.tenant_id: item for item in items}
         over_active: list[int] = []
 

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import PackingError
-from ..workload.activity import ActivityItem, ActivityMatrix
+from ..workload.activity import ActivityItem, ActivityMatrix, concurrency_profile
 
 __all__ = [
     "LIVBPwFCProblem",
@@ -39,10 +39,7 @@ TTP_TOL = 1e-12
 
 def group_concurrency(items: Iterable[ActivityItem], num_epochs: int) -> np.ndarray:
     """Per-epoch count of concurrently active tenants within a group."""
-    counts = np.zeros(num_epochs, dtype=np.int32)
-    for item in items:
-        counts[item.epochs] += 1
-    return counts
+    return concurrency_profile(items, num_epochs)
 
 
 def group_ttp(items: Iterable[ActivityItem], num_epochs: int, replication_factor: int) -> float:

@@ -28,6 +28,7 @@ from ..config import EvaluationConfig
 from ..errors import WorkloadError
 from ..rng import RngFactory
 from ..units import DAY, HOUR
+from .activity import active_epoch_indices, concurrency_counts, sorted_union
 from .distributions import sample_node_sizes
 from .generator import SessionLibrary
 from .logs import QueryRecord, TenantLog
@@ -131,26 +132,21 @@ class ComposedWorkload:
                 chunks.append(base + int(round(ratio)))
             else:
                 session = self.library.session(pick.node_size, pick.session_index)
-                for start, end in session.busy_intervals():
-                    s = start + pick.shift_s
-                    e = end + pick.shift_s
-                    first = int(s // epoch_size)
-                    last = int(np.ceil(e / epoch_size)) if e > s else first + 1
-                    chunks.append(np.arange(first, max(last, first + 1), dtype=np.int64))
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        indices = np.unique(np.concatenate(chunks))
-        return indices[indices < d]
+                shifted = [
+                    (start + pick.shift_s, end + pick.shift_s)
+                    for start, end in session.busy_intervals()
+                ]
+                chunks.append(active_epoch_indices(shifted, epoch_size))
+        indices = sorted_union(chunks)
+        return indices[: int(np.searchsorted(indices, d))]
 
     def concurrency_profile(self, epoch_size: float, tenant_ids: Optional[Iterable[int]] = None) -> np.ndarray:
         """Per-epoch count of concurrently active tenants (dense ``int32``)."""
-        d = self.num_epochs(epoch_size)
-        counts = np.zeros(d, dtype=np.int32)
         ids = self.tenant_ids if tenant_ids is None else list(tenant_ids)
-        for tenant_id in ids:
-            epochs = self.activity_epochs(tenant_id, epoch_size)
-            counts[epochs] += 1
-        return counts
+        return concurrency_counts(
+            (self.activity_epochs(tenant_id, epoch_size) for tenant_id in ids),
+            self.num_epochs(epoch_size),
+        )
 
     def active_tenant_ratio(self, epoch_size: float = 60.0, conditional: bool = True) -> float:
         """Average fraction of tenants concurrently active.

@@ -25,6 +25,7 @@ import numpy as np
 from ..config import EvaluationConfig
 from ..errors import WorkloadError
 from ..rng import RngFactory
+from .activity import active_epoch_indices
 from .logs import QueryRecord, merge_intervals
 from .queries import QueryTemplate
 from .session import SessionConfig, run_user_session
@@ -95,16 +96,7 @@ class SessionLibrary:
         cached = self._epoch_cache.get(key)
         if cached is not None:
             return cached
-        log = self.session(node_size, index)
-        chunks = []
-        for start, end in log.busy_intervals():
-            first = int(start // epoch_size)
-            last = int(np.ceil(end / epoch_size)) if end > start else first + 1
-            chunks.append(np.arange(first, max(last, first + 1), dtype=np.int64))
-        if chunks:
-            indices = np.unique(np.concatenate(chunks))
-        else:
-            indices = np.empty(0, dtype=np.int64)
+        indices = active_epoch_indices(self.session(node_size, index).busy_intervals(), epoch_size)
         self._epoch_cache[key] = indices
         return indices
 

@@ -9,9 +9,53 @@ from repro.workload.activity import (
     ActivityMatrix,
     active_epoch_indices,
     active_tenant_ratio,
+    concurrency_counts,
     concurrency_profile,
+    sorted_union,
 )
 from tests.conftest import make_item
+
+
+class TestSortedUnion:
+    def test_merges_overlapping_runs(self):
+        chunks = [np.array([3, 4, 5]), np.array([0, 4, 9]), np.array([5, 6])]
+        assert sorted_union(chunks).tolist() == [0, 3, 4, 5, 6, 9]
+
+    def test_identical_chunks_collapse(self):
+        chunk = np.array([1, 2, 7])
+        assert sorted_union([chunk, chunk, chunk]).tolist() == [1, 2, 7]
+
+    def test_empty_and_single(self):
+        assert sorted_union([]).dtype == np.int64
+        assert sorted_union([]).size == 0
+        assert sorted_union([np.empty(0, dtype=np.int64)]).size == 0
+        assert sorted_union([np.array([4])]).tolist() == [4]
+
+    def test_returns_int64_and_leaves_inputs_alone(self):
+        chunk = np.array([5, 1, 5], dtype=np.int32)
+        result = sorted_union([chunk])
+        assert result.dtype == np.int64
+        assert result.tolist() == [1, 5]
+        assert chunk.tolist() == [5, 1, 5]
+
+    def test_matches_np_unique(self):
+        rng = np.random.default_rng(3)
+        chunks = [np.sort(rng.integers(0, 500, size=int(rng.integers(0, 80)))) for _ in range(30)]
+        assert np.array_equal(sorted_union(chunks), np.unique(np.concatenate(chunks)))
+
+
+class TestConcurrencyCounts:
+    def test_counts_covering_sets(self):
+        sets = [np.array([0, 2]), np.array([2, 3]), np.empty(0, dtype=np.int64)]
+        counts = concurrency_counts(sets, 5)
+        assert counts.dtype == np.int32
+        assert counts.tolist() == [1, 0, 2, 1, 0]
+
+    def test_delegates_agree(self):
+        items = [make_item(1, 2, [0, 3]), make_item(2, 2, [3]), make_item(3, 4, [])]
+        expected = [1, 0, 0, 2]
+        assert concurrency_profile(items, 4).tolist() == expected
+        assert ActivityMatrix(items, 4).concurrency_profile().tolist() == expected
 
 
 class TestActiveEpochIndices:

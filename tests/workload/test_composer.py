@@ -5,8 +5,11 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.units import DAY, HOUR
-from repro.workload.composer import MultiTenantLogComposer, SessionPick
-from repro.workload.generator import SessionLogGenerator
+from repro.workload.activity import active_epoch_indices
+from repro.workload.composer import ComposedWorkload, MultiTenantLogComposer, SessionPick
+from repro.workload.generator import SessionLibrary, SessionLog, SessionLogGenerator
+from repro.workload.logs import QueryRecord
+from repro.workload.tenant import TenantSpec
 from tests.conftest import tiny_config
 
 
@@ -117,6 +120,40 @@ class TestActivityEpochs:
         slow = active_epoch_indices(log.busy_intervals(), 7.0)
         slow = slow[slow < workload.num_epochs(7.0)]
         assert np.array_equal(fast, slow)
+
+    @staticmethod
+    def _edge_workload(horizon_s):
+        # Busy intervals (0, 10) and (55, 60) end on a 10 s epoch boundary,
+        # (25, 25) has zero length; the picks at 0 s and 20 s overlap, so
+        # their epoch sets share indices.
+        records = tuple(
+            QueryRecord(submit_time_s=s, latency_s=w, template="q")
+            for s, w in [(0.0, 10.0), (25.0, 0.0), (30.0, 5.0), (55.0, 5.0)]
+        )
+        session = SessionLog(
+            node_size=2, benchmark="tpch", num_users=1, records=records, duration_s=60.0
+        )
+        library = SessionLibrary({2: [session]})
+        picks = tuple(SessionPick(2, 0, shift) for shift in (0.0, 20.0, 3600.0))
+        tenant = TenantSpec(tenant_id=0, nodes_requested=2, data_gb=200.0)
+        return ComposedWorkload([tenant], {0: picks}, library, horizon_s)
+
+    def test_overlapping_picks_boundaries_and_zero_length(self):
+        workload = self._edge_workload(3620.0)
+        # Session epochs at E = 10: [0, 2, 3, 5]; shifted by 0, +2 and
+        # +360, then clipped to d = 362.
+        assert workload.activity_epochs(0, 10.0).tolist() == [0, 2, 3, 4, 5, 7, 360]
+
+    @pytest.mark.parametrize("epoch_size", [10.0, 7.0, 0.5])
+    def test_edge_workload_matches_materialized_log(self, epoch_size):
+        # 7 s leaves the 20 s and 3600 s shifts unaligned (fallback branch)
+        # while the 0 s shift stays on the cached path.
+        workload = self._edge_workload(3630.0)
+        fast = workload.activity_epochs(0, epoch_size)
+        slow = active_epoch_indices(workload.tenant_log(0).busy_intervals(), epoch_size)
+        slow = slow[slow < workload.num_epochs(epoch_size)]
+        assert np.array_equal(fast, slow)
+        assert fast.dtype == np.int64
 
     def test_concurrency_profile_sums(self, workload):
         counts = workload.concurrency_profile(60.0)
