@@ -21,6 +21,7 @@ from repro.core.runtime import GroupRuntime
 from repro.core.scaling import DisabledScaling, LightweightScaling
 from repro.analysis.sweeps import build_workload
 from repro.mppdb.provisioning import Provisioner
+from repro.obs import MemorySink, Observer
 from repro.simulation.engine import Simulator
 from repro.units import DAY, HOUR, MINUTE, format_duration
 from repro.workload.logs import QueryRecord, TenantLog
@@ -59,7 +60,7 @@ def _over_active_log(workload, tenant_id):
     return TenantLog(spec, records)
 
 
-def _replay(workload, group, scaling_enabled: bool):
+def _replay(workload, group, scaling_enabled: bool, observer=None):
     sim = Simulator()
     provisioner = Provisioner(sim)
     master = DeploymentMaster(provisioner)
@@ -91,6 +92,7 @@ def _replay(workload, group, scaling_enabled: bool):
         sla_fraction=0.999,
         scaling=scaling,
         monitor_interval_s=5 * MINUTE,
+        observer=observer,
     )
     report = runtime.run(until=_HORIZON)
     return report, over_tenant
@@ -102,9 +104,11 @@ def test_fig7_7_lightweight_elastic_scaling(benchmark, scale):
     advice = DeploymentAdvisor(config).plan_from_workload(workload)
     group = _pick_group(advice.plan)
 
+    sink = MemorySink()
+
     def experiment():
         disabled = _replay(workload, group, scaling_enabled=False)
-        enabled = _replay(workload, group, scaling_enabled=True)
+        enabled = _replay(workload, group, scaling_enabled=True, observer=Observer(sink))
         return disabled, enabled
 
     (disabled_report, over_tenant), (enabled_report, __) = run_once(benchmark, experiment)
@@ -141,16 +145,19 @@ def test_fig7_7_lightweight_elastic_scaling(benchmark, scale):
         )
     )
 
-    # The §7.5 excerpt, straight from the recorded trace: every scaling
-    # entry inside the takeover window, in time order.
-    excerpt = enabled_report.trace.filter(
-        kind="elastic-scaling", start=_TAKEOVER_START, end=_HORIZON
-    )
-    print("Trace excerpt (elastic-scaling entries):")
-    for entry in excerpt:
-        print(f"  {entry}")
+    # The §7.5 excerpt, straight from the enabled run's telemetry: every
+    # scaling span started inside the takeover window, in time order.
+    excerpt = [
+        span
+        for span in sink.spans_of("scaling")
+        if _TAKEOVER_START <= span.start < _HORIZON
+    ]
+    print("Scaling spans (enabled run):")
+    for span in excerpt:
+        attrs = " ".join(f"{k}={v}" for k, v in sorted(span.attrs))
+        print(f"  [{span.start:12.2f} .. {span.end:12.2f}] {attrs}")
     assert len(excerpt) == len(actions)
-    assert [e.details["policy"] for e in excerpt] == [a.kind for a in actions]
+    assert [dict(span.attrs)["policy"] for span in excerpt] == [a.kind for a in actions]
 
     # Panels a/b: without scaling the RT-TTP dives below P and stays low.
     assert disabled_report.scaling_actions == []

@@ -8,7 +8,9 @@ Scale: the paper's evaluation uses T = 5000 tenants and 30-day logs on an
 EC2 cluster; the committed benches default to a laptop scale (documented
 per experiment in EXPERIMENTS.md).  Set ``REPRO_BENCH_PROFILE=smoke`` for
 a fast sanity pass or ``REPRO_BENCH_PROFILE=large`` to push closer to the
-paper's scale.
+paper's scale.  Profile names resolve through
+:func:`repro.bench.resolve_scale`, the one table of bench scales that
+``thrifty bench --scale`` reads too.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import os
 import pytest
 
 from repro.analysis.sweeps import BenchScale
+from repro.bench import resolve_scale
+
 
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
@@ -34,25 +38,15 @@ def obs_mode(pytestconfig: pytest.Config) -> bool:
     return bool(pytestconfig.getoption("--obs") or os.environ.get("REPRO_BENCH_OBS"))
 
 
-_PROFILES = {
-    "smoke": BenchScale(num_tenants=150, horizon_days=7, holiday_weekdays=0, sessions_per_size=6),
-    "default": BenchScale(num_tenants=800, horizon_days=14, holiday_weekdays=1, sessions_per_size=16),
-    "large": BenchScale(num_tenants=2000, horizon_days=21, holiday_weekdays=1, sessions_per_size=24),
-}
-
-
 def bench_profile() -> str:
     """The active profile name."""
-    profile = os.environ.get("REPRO_BENCH_PROFILE", "default")
-    if profile not in _PROFILES:
-        raise ValueError(f"REPRO_BENCH_PROFILE must be one of {sorted(_PROFILES)}")
-    return profile
+    return os.environ.get("REPRO_BENCH_PROFILE", "default")
 
 
 @pytest.fixture(scope="session")
 def scale() -> BenchScale:
     """The bench scale for this run."""
-    return _PROFILES[bench_profile()]
+    return resolve_scale(bench_profile())
 
 
 @pytest.fixture(scope="session")

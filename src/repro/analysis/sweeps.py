@@ -62,7 +62,7 @@ class BenchScale:
 DEFAULT_SCALE = BenchScale()
 
 #: Tiny scale for smoke tests and CI.
-SMOKE_SCALE = BenchScale(num_tenants=120, horizon_days=7, holiday_weekdays=0, sessions_per_size=6)
+SMOKE_SCALE = BenchScale(num_tenants=150, horizon_days=7, holiday_weekdays=0, sessions_per_size=6)
 
 _LIBRARY_CACHE: dict[tuple, SessionLibrary] = {}
 _WORKLOAD_CACHE: dict[tuple, ComposedWorkload] = {}

@@ -37,7 +37,6 @@ from ..obs.observer import NULL_OBSERVER, Observer
 from ..obs.tracing import STATUS_INFLIGHT, Span
 from ..simulation.engine import Simulator
 from ..simulation.events import ScheduledEvent
-from ..simulation.trace import TraceRecorder
 from ..units import MINUTE
 from ..workload.logs import QueryRecord, TenantLog
 from ..workload.queries import template_by_name
@@ -93,6 +92,27 @@ class _ClosedLoopChain:
         return self.index < len(self.events)
 
 
+@dataclass(slots=True, eq=False)
+class _QueryState:
+    """One logged query's run-time state, from first submission to terminal.
+
+    Created when the query is first submitted and carried by every later
+    step — routing, abort, retry backoff, park, recovery drain, deadline —
+    until exactly one terminal (:meth:`GroupRuntime._settle` or
+    :meth:`GroupRuntime._fail`) retires it.  Identity, not equality, is
+    what matters: states are dict keys in the runtime's registries.
+    """
+
+    tenant: int
+    record: QueryRecord
+    first_submit: float
+    attempts: int = 0
+    failed_instance: Optional[str] = None
+    deadline: Optional[ScheduledEvent] = None
+    chain: Optional[_ClosedLoopChain] = None
+    span: Optional[Span] = None
+
+
 @dataclass
 class RuntimeReport:
     """Everything observed while replaying one group."""
@@ -104,7 +124,6 @@ class RuntimeReport:
     queries_submitted: int
     queries_completed: int
     overflow_queries: int
-    trace: TraceRecorder = field(repr=False, default_factory=TraceRecorder)
     queries_retried: int = 0
     queries_failed: int = 0
     failovers: int = 0
@@ -131,7 +150,6 @@ class GroupRuntime:
         router: Optional[QueryRouter] = None,
         scaling: Optional[ScalingPolicy] = None,
         monitor_interval_s: float = 10 * MINUTE,
-        trace: Optional[TraceRecorder] = None,
         closed_loop: bool = False,
         observer: Optional[Observer] = None,
         fault: Optional[RetryPolicy] = None,
@@ -158,24 +176,22 @@ class GroupRuntime:
         self._router = router if router is not None else TDDRouter(deployed.instances)
         self._scaling = scaling if scaling is not None else DisabledScaling()
         self._interval = monitor_interval_s
-        self._trace = trace if trace is not None else TraceRecorder()
         self._sla_records: list[SLARecord] = []
         self._rt_ttp_samples: list[tuple[float, float]] = []
         self._submitted = 0
         self._completed = 0
         self._overflow = 0
-        self._inflight: dict[tuple[str, int], QueryRecord] = {}
-        # Fault-tolerance plane: retry policy, attempt counts, park queue.
-        # All per-record dicts are keyed by ``id(record)`` (records live for
-        # the whole replay, so identities are stable) like _record_chain.
+        # Every first-submitted query is in ``_live`` (in first-submission
+        # order) until its one terminal removes it, so ``completed + failed
+        # + len(_live)`` counts first submissions by construction.
+        # ``_inflight`` and ``_parked`` index the live queries running on an
+        # engine and those waiting for a healthy replica.
+        self._live: dict[_QueryState, None] = {}
+        self._inflight: dict[tuple[str, int], _QueryState] = {}
+        self._parked: dict[_QueryState, None] = {}
         self._fault = fault if fault is not None else DEFAULT_RETRY_POLICY
         self._fault_rng = fault_rng
         self._health = health
-        self._attempts: dict[int, int] = {}
-        self._first_submit: dict[int, float] = {}
-        self._failed_instance: dict[int, str] = {}
-        self._parked: dict[int, tuple[int, QueryRecord]] = {}
-        self._park_deadline: dict[int, ScheduledEvent] = {}
         self._retried = 0
         self._failed_count = 0
         self._failovers = 0
@@ -188,11 +204,7 @@ class GroupRuntime:
         self._wired: set[MPPDBInstance] = set(deployed.instances)
         self._scheduled = False
         self._closed_loop = bool(closed_loop)
-        # Closed-loop bookkeeping: record identity -> its event chain.
-        self._record_chain: dict[int, "_ClosedLoopChain"] = {}
         self._observer = observer if observer is not None else NULL_OBSERVER
-        # Query-lifecycle spans, keyed like _record_chain by record identity.
-        self._record_span: dict[int, Span] = {}
         if self._observer.enabled:
             self._monitor.observe_with(self._observer)
             for instance in self._wired:
@@ -214,31 +226,11 @@ class GroupRuntime:
 
     def _wire_instance(self, instance: MPPDBInstance) -> None:
         def _done(execution: QueryExecution, _instance: MPPDBInstance = instance) -> None:
-            key = (_instance.name, execution.query_id)
-            record = self._inflight.pop(key, None)
-            if record is None:
+            state = self._inflight.pop((_instance.name, execution.query_id), None)
+            if state is None:
                 return
-            rid = id(record)
             finish = execution.finish_time if execution.finish_time is not None else 0.0
-            self._completed += 1
-            self._monitor.on_query_finish(execution.tenant_id, finish)
-            # A retried query's observed latency spans from its *first*
-            # submission, so retry backoff honestly counts against the SLA.
-            first = self._first_submit.pop(rid, execution.submit_time)
-            self._attempts.pop(rid, None)
-            self._failed_instance.pop(rid, None)
-            sla_record = SLARecord(
-                tenant_id=execution.tenant_id,
-                group_name=self._deployed.group_name,
-                instance_name=_instance.name,
-                template=record.template,
-                submit_time_s=record.submit_time_s,
-                baseline_latency_s=record.latency_s,
-                observed_latency_s=finish - first,
-            )
-            self._sla_records.append(sla_record)
-            self._observe_completion(record, sla_record, finish)
-            self._on_record_complete(record, finish)
+            self._settle(state, _instance.name, finish)
 
         def _aborted(execution: QueryExecution, _instance: MPPDBInstance = instance) -> None:
             self._on_abort(execution, _instance)
@@ -246,45 +238,58 @@ class GroupRuntime:
         instance.engine.on_complete(_done)
         instance.engine.on_abort(_aborted)
 
-    def _submit(self, tenant_id: int, record: QueryRecord, time: float) -> None:
-        spec = self._deployed.deployment.tenant(tenant_id)
-        rid = id(record)
+    def _submit(
+        self,
+        tenant_id: int,
+        record: QueryRecord,
+        time: float,
+        chain: Optional[_ClosedLoopChain] = None,
+    ) -> None:
+        """First submission of a logged query: open its state, then dispatch.
+
+        Submission metrics and the lifecycle span are created here exactly
+        once, however many retries or park episodes follow.
+        """
+        state = _QueryState(tenant_id, record, time, chain=chain)
+        self._live[state] = None
+        observer = self._observer
+        if observer.enabled:
+            group = self._deployed.group_name
+            observer.queries_submitted.labels(group=group).inc(time)
+            state.span = observer.tracer.start_span(
+                "query",
+                time,
+                kind="query",
+                group=group,
+                tenant=tenant_id,
+                template=record.template,
+            )
+            state.span.add_event(time, "submit")
+        self._dispatch(state, time)
+
+    def _dispatch(self, state: _QueryState, time: float) -> None:
+        """Route one attempt of a live query and start it on an engine."""
+        tenant_id, record = state.tenant, state.record
         observer = self._observer
         group = self._deployed.group_name
-        if rid not in self._first_submit:
-            # First attempt: submission metrics and the lifecycle span are
-            # created exactly once, however many retries follow.
-            self._first_submit[rid] = time
-            if observer.enabled:
-                observer.queries_submitted.labels(group=group).inc(time)
-                span = observer.tracer.start_span(
-                    "query",
-                    time,
-                    kind="query",
-                    group=group,
-                    tenant=tenant_id,
-                    template=record.template,
-                )
-                span.add_event(time, "submit")
-                self._record_span[rid] = span
         try:
             instance = self._router.route(tenant_id)
         except NoHealthyInstanceError:
             # Graceful degradation: every hosting replica is degraded, down
             # or loading — queue the query until an instance recovers.
-            self._park(tenant_id, record, time)
+            self._park(state, time)
             return
-        deadline_handle = self._park_deadline.pop(rid, None)
-        if deadline_handle is not None:
-            self._sim.cancel(deadline_handle)
-        self._attempts[rid] = attempt = self._attempts.get(rid, 0) + 1
-        failed_from = self._failed_instance.pop(rid, None)
+        if state.deadline is not None:
+            self._sim.cancel(state.deadline)
+            state.deadline = None
+        state.attempts += 1
+        failed_from, state.failed_instance = state.failed_instance, None
         if instance not in self._wired:
             self._wire_instance(instance)
             self._wired.add(instance)
-            if self._observer.enabled:
-                instance.engine.observe_with(self._observer, instance.name)
-        span = self._record_span.get(rid)
+            if observer.enabled:
+                instance.engine.observe_with(observer, instance.name)
+        span = state.span
         if failed_from is not None and instance.name != failed_from:
             self._failovers += 1
             if observer.enabled:
@@ -299,20 +304,15 @@ class GroupRuntime:
             observer.routing_decisions.labels(group=group, outcome=outcome).inc(time)
             if span is not None:
                 span.add_event(
-                    time, "route", instance=instance.name, outcome=outcome, attempt=attempt
+                    time, "route", instance=instance.name, outcome=outcome, attempt=state.attempts
                 )
         if instance is self._router.tuning_instance and instance.engine.busy and (
             tenant_id not in instance.active_tenants
         ):
             self._overflow += 1
-            self._trace.record(
-                time,
-                "overflow-to-tuning",
-                tenant=tenant_id,
-                concurrency=instance.engine.concurrency,
-            )
             if observer.enabled:
-                observer.queries_overflow.labels(group=self._deployed.group_name).inc(time)
+                observer.queries_overflow.labels(group=group).inc(time)
+        spec = self._deployed.deployment.tenant(tenant_id)
         template = template_by_name(record.template)
         work = (
             template.dedicated_latency_s(spec.data_gb, instance.parallelism)
@@ -330,27 +330,11 @@ class GroupRuntime:
             )
             span.add_event(time, "execute")
         if execution.finished:
-            # Degenerate zero-work query: completion callback already ran
-            # (without a registered record), so settle the books here.
-            self._completed += 1
-            self._monitor.on_query_finish(tenant_id, time)
-            first = self._first_submit.pop(rid, time)
-            self._attempts.pop(rid, None)
-            self._failed_instance.pop(rid, None)
-            sla_record = SLARecord(
-                tenant_id=tenant_id,
-                group_name=self._deployed.group_name,
-                instance_name=instance.name,
-                template=record.template,
-                submit_time_s=record.submit_time_s,
-                baseline_latency_s=record.latency_s,
-                observed_latency_s=time - first,
-            )
-            self._sla_records.append(sla_record)
-            self._observe_completion(record, sla_record, time)
-            self._on_record_complete(record, time)
+            # Degenerate zero-work query: the engine completed it inside
+            # submit_query, before it could be registered as in flight.
+            self._settle(state, instance.name, time)
         else:
-            self._inflight[(instance.name, execution.query_id)] = record
+            self._inflight[(instance.name, execution.query_id)] = state
 
     def _schedule_closed_loop(self, tenant_id: int, log: TenantLog, until: float) -> int:
         """Build per-user event chains and schedule each chain's first event."""
@@ -389,20 +373,19 @@ class GroupRuntime:
         base = event[0].submit_time_s
         chain.outstanding = len(event)
         for record in event:
-            self._record_chain[id(record)] = chain
             offset = record.submit_time_s - base
             if offset <= 0:
-                self._submit(chain.tenant_id, record, time)
+                self._submit(chain.tenant_id, record, time, chain)
             else:
                 self._sim.schedule(
                     time + offset,
-                    lambda t, _r=record, _c=chain: self._submit(_c.tenant_id, _r, t),
+                    lambda t, _r=record, _c=chain: self._submit(_c.tenant_id, _r, t, _c),
                     label="closed-loop-batch",
                 )
 
-    def _on_record_complete(self, record: QueryRecord, time: float) -> None:
-        """Advance the record's closed-loop chain, if any."""
-        chain = self._record_chain.pop(id(record), None)
+    def _advance_chain(self, state: _QueryState, time: float) -> None:
+        """Advance the query's closed-loop chain, if any."""
+        chain = state.chain
         if chain is None:
             return
         chain.outstanding -= 1
@@ -423,22 +406,21 @@ class GroupRuntime:
         """An instance failure killed this in-flight query; retry or fail.
 
         The monitor sees a finish (the query is no longer running), then
-        the record is either rescheduled with capped exponential backoff in
-        sim-time or — after ``max_attempts`` submissions — surfaced as a
-        typed :class:`~repro.core.fault.FaultRecord`.  Retried submissions
-        do NOT increment ``queries_submitted``; the completion that
-        eventually lands settles against the first submission's clock.
+        the query is either re-dispatched after a capped exponential
+        backoff in sim-time or — after ``max_attempts`` submissions —
+        surfaced as a typed :class:`~repro.core.fault.FaultRecord`.
+        Retried submissions do NOT increment ``queries_submitted``; the
+        completion that eventually lands settles against the first
+        submission's clock.
         """
-        key = (instance.name, execution.query_id)
-        record = self._inflight.pop(key, None)
-        if record is None:
+        state = self._inflight.pop((instance.name, execution.query_id), None)
+        if state is None:
             return
         now = self._sim.now
-        rid = id(record)
-        self._monitor.on_query_finish(execution.tenant_id, now)
-        self._failed_instance[rid] = instance.name
-        attempt = self._attempts.get(rid, 1)
-        span = self._record_span.get(rid)
+        self._monitor.on_query_finish(state.tenant, now)
+        state.failed_instance = instance.name
+        attempt = state.attempts
+        span = state.span
         if span is not None:
             span.add_event(
                 now,
@@ -448,9 +430,7 @@ class GroupRuntime:
                 remaining_s=round(execution.remaining_work_s, 6),
             )
         if attempt >= self._fault.max_attempts:
-            self._fail_record(
-                execution.tenant_id, record, now, REASON_RETRIES_EXHAUSTED
-            )
+            self._fail(state, now, REASON_RETRIES_EXHAUSTED)
             return
         delay = self._fault.backoff_s(attempt, self._fault_rng)
         self._retried += 1
@@ -458,121 +438,127 @@ class GroupRuntime:
             self._observer.query_retries.labels(group=self._deployed.group_name).inc(now)
         if span is not None:
             span.add_event(now, "retry", delay_s=round(delay, 6), attempt=attempt + 1)
-        self._trace.record(
-            now, "query-retry", tenant=execution.tenant_id, attempt=attempt + 1, delay_s=delay
-        )
         self._sim.schedule_after(
-            delay,
-            lambda t, _tid=execution.tenant_id, _r=record: self._submit(_tid, _r, t),
-            label="query-retry",
+            delay, lambda t, _s=state: self._dispatch(_s, t), label="query-retry"
         )
 
-    def _park(self, tenant_id: int, record: QueryRecord, time: float) -> None:
+    def _park(self, state: _QueryState, time: float) -> None:
         """Queue a query for which no healthy replica exists right now.
 
-        Parked queries are resubmitted when the health manager reports an
-        instance recovery; each park episode carries a deadline after which
-        the query fails with ``deadline-exceeded`` (graceful degradation
-        for ``R = 1`` groups: no crash, a typed failure).
+        Parked queries are re-dispatched when the health manager reports an
+        instance recovery; parking arms a deadline (a query re-parked by a
+        drain keeps the one already pending) after which the query fails
+        with ``deadline-exceeded`` (graceful degradation for ``R = 1``
+        groups: no crash, a typed failure).
         """
-        rid = id(record)
-        self._parked[rid] = (tenant_id, record)
-        span = self._record_span.get(rid)
-        if span is not None:
-            span.add_event(time, "park")
-        self._trace.record(time, "query-parked", tenant=tenant_id)
-        if rid not in self._park_deadline:
-            self._park_deadline[rid] = self._sim.schedule(
+        self._parked[state] = None
+        if state.span is not None:
+            state.span.add_event(time, "park")
+        if state.deadline is None:
+            state.deadline = self._sim.schedule(
                 time + self._fault.queue_deadline_s,
-                lambda t, _tid=tenant_id, _r=record: self._park_expired(_tid, _r, t),
+                lambda t, _s=state: self._park_expired(_s, t),
                 label="fault-deadline",
             )
 
-    def _park_expired(self, tenant_id: int, record: QueryRecord, time: float) -> None:
+    def _park_expired(self, state: _QueryState, time: float) -> None:
         """A parked query's deadline hit before any replica recovered."""
-        rid = id(record)
-        self._park_deadline.pop(rid, None)
-        if self._parked.pop(rid, None) is None:
+        state.deadline = None
+        if state not in self._parked:
             return
-        self._fail_record(tenant_id, record, time, REASON_DEADLINE_EXCEEDED)
+        del self._parked[state]
+        self._fail(state, time, REASON_DEADLINE_EXCEEDED)
 
     def _on_instance_recovered(self, instance: MPPDBInstance, time: float) -> None:
         """Health-manager recovery: drain the park queue through the router."""
         if not self._parked:
             return
-        pending = list(self._parked.items())
+        pending = list(self._parked)
         self._parked.clear()
-        for _rid, (tenant_id, record) in pending:
-            self._submit(tenant_id, record, time)
+        for state in pending:
+            self._dispatch(state, time)
 
-    def _fail_record(
-        self, tenant_id: int, record: QueryRecord, time: float, reason: str
-    ) -> None:
-        """Surface a query that fault handling could not save."""
-        rid = id(record)
-        attempts = self._attempts.pop(rid, 0)
-        self._first_submit.pop(rid, None)
-        self._failed_instance.pop(rid, None)
+    def _settle(self, state: _QueryState, instance_name: str, finish: float) -> None:
+        """Terminal: the query completed on ``instance_name`` at ``finish``."""
+        del self._live[state]
+        self._completed += 1
+        self._monitor.on_query_finish(state.tenant, finish)
+        record = state.record
+        # A retried query's observed latency spans from its *first*
+        # submission, so retry backoff honestly counts against the SLA.
+        sla_record = SLARecord(
+            tenant_id=state.tenant,
+            group_name=self._deployed.group_name,
+            instance_name=instance_name,
+            template=record.template,
+            submit_time_s=record.submit_time_s,
+            baseline_latency_s=record.latency_s,
+            observed_latency_s=finish - state.first_submit,
+        )
+        self._sla_records.append(sla_record)
+        observer = self._observer
+        if observer.enabled:
+            group = self._deployed.group_name
+            observer.queries_completed.labels(group=group).inc(finish)
+            observer.query_latency.labels(group=group).observe(
+                finish, sla_record.observed_latency_s
+            )
+            observer.normalized_latency.labels(group=group).observe(
+                finish, sla_record.normalized
+            )
+            status = "complete" if sla_record.met else "violate"
+            if status == "violate":
+                observer.sla_violations.labels(group=group).inc(finish)
+            span = state.span
+            if span is not None:
+                span.set_attr("observed_latency_s", sla_record.observed_latency_s)
+                span.set_attr("normalized", round(sla_record.normalized, 9))
+                span.add_event(finish, status)
+                span.end(finish, status=status)
+        self._advance_chain(state, finish)
+
+    def _fail(self, state: _QueryState, time: float, reason: str) -> None:
+        """Terminal: surface a query that fault handling could not save."""
+        del self._live[state]
+        attempts = state.attempts
         self._fault_records.append(
             FaultRecord(
-                tenant_id=tenant_id,
+                tenant_id=state.tenant,
                 group_name=self._deployed.group_name,
-                template=record.template,
-                submit_time_s=record.submit_time_s,
+                template=state.record.template,
+                submit_time_s=state.record.submit_time_s,
                 failed_time_s=time,
                 reason=reason,
                 attempts=attempts,
             )
         )
         self._failed_count += 1
-        self._trace.record(
-            time, "query-failed", tenant=tenant_id, reason=reason, attempts=attempts
-        )
         observer = self._observer
         if observer.enabled:
             group = self._deployed.group_name
             observer.queries_failed.labels(group=group).inc(time)
             observer.sla_violations.labels(group=group).inc(time)
-        span = self._record_span.pop(rid, None)
+        span = state.span
         if span is not None:
             span.add_event(time, "failed", reason=reason, attempts=attempts)
             span.end(time, status="failed")
-        self._on_record_complete(record, time)
-
-    def _observe_completion(self, record: QueryRecord, sla_record: SLARecord, time: float) -> None:
-        """Emit terminal-state metrics and close the query's span."""
-        observer = self._observer
-        if not observer.enabled:
-            return
-        group = self._deployed.group_name
-        observer.queries_completed.labels(group=group).inc(time)
-        observer.query_latency.labels(group=group).observe(time, sla_record.observed_latency_s)
-        observer.normalized_latency.labels(group=group).observe(time, sla_record.normalized)
-        status = "complete" if sla_record.met else "violate"
-        if status == "violate":
-            observer.sla_violations.labels(group=group).inc(time)
-        span = self._record_span.pop(id(record), None)
-        if span is not None:
-            span.set_attr("observed_latency_s", sla_record.observed_latency_s)
-            span.set_attr("normalized", round(sla_record.normalized, 9))
-            span.add_event(time, status)
-            span.end(time, status=status)
+        self._advance_chain(state, time)
 
     def finalize_observation(self, time: float) -> None:
         """Force-close query spans still open at the replay horizon.
 
-        Queries in flight when the horizon hits never reach a terminal
-        completion callback, so their spans are ended with status
-        ``"inflight"`` — every exported span chain is complete either way.
-        Idempotent; called by :meth:`run` and by the service after a
-        bounded ``Simulator.run``.
+        Queries live when the horizon hits (running, parked or waiting out
+        a retry backoff) never reach a terminal, so their spans are ended
+        with status ``"inflight"``, in first-submission order — every
+        exported span chain is complete either way.  Idempotent; called by
+        :meth:`run` and by the service after a bounded ``Simulator.run``.
         """
-        if not self._record_span:
-            return
-        for span in self._record_span.values():
-            span.add_event(time, STATUS_INFLIGHT)
-            span.end(time, status=STATUS_INFLIGHT)
-        self._record_span.clear()
+        for state in self._live:
+            span = state.span
+            if span is not None:
+                span.add_event(time, STATUS_INFLIGHT)
+                span.end(time, status=STATUS_INFLIGHT)
+                state.span = None
 
     def _periodic_check(self, time: float) -> None:
         rt_ttp = self._monitor.rt_ttp(time, self._scaling.window_s)
@@ -586,7 +572,6 @@ class GroupRuntime:
             self._router,
             self._provisioner,
             self._sla_fraction,
-            trace=self._trace,
             observer=self._observer,
         )
 
@@ -648,7 +633,6 @@ class GroupRuntime:
             queries_submitted=self._submitted,
             queries_completed=self._completed,
             overflow_queries=self._overflow,
-            trace=self._trace,
             queries_retried=self._retried,
             queries_failed=self._failed_count,
             failovers=self._failovers,

@@ -37,7 +37,6 @@ from ..mppdb.instance import MPPDBInstance
 from ..mppdb.provisioning import Provisioner
 from ..packing.livbp import LIVBPwFCProblem
 from ..packing.two_step import pack_initial_group
-from ..simulation.trace import TraceRecorder
 from ..units import DAY, num_epochs
 from ..workload.activity import ActivityItem, concurrency_profile
 from .master import DeployedGroup
@@ -91,7 +90,6 @@ class ScalingPolicy(abc.ABC):
         router: QueryRouter,
         provisioner: Provisioner,
         sla_fraction: float,
-        trace: Optional[TraceRecorder] = None,
         observer: Optional["Observer"] = None,
     ) -> Optional[ScalingAction]:
         """Check the trigger and, if firing, start a scale-up.
@@ -119,16 +117,6 @@ class ScalingPolicy(abc.ABC):
             # being handled.
             self._last_action[group.group_name] = action.expected_ready_time
             self.actions.append(action)
-            if trace is not None:
-                trace.record(
-                    now,
-                    "elastic-scaling",
-                    group=group.group_name,
-                    policy=action.kind,
-                    over_active=action.over_active,
-                    ready=round(action.expected_ready_time, 1),
-                    rt_ttp=round(rt_ttp, 5),
-                )
             if observer is not None and observer.enabled:
                 observer.scaling_actions.labels(
                     group=group.group_name, kind=action.kind

@@ -29,7 +29,6 @@ from ..mppdb.provisioning import Provisioner
 from ..obs.observer import NULL_OBSERVER, Observer
 from ..rng import RngFactory
 from ..simulation.engine import Simulator
-from ..simulation.trace import TraceRecorder
 from ..units import MINUTE
 from ..workload.composer import ComposedWorkload
 from .advisor import AdvisorResult, DeploymentAdvisor
@@ -137,7 +136,6 @@ class ThriftyService:
         self.advisor = DeploymentAdvisor(config, grouping=grouping)
         self.master = DeploymentMaster(self.provisioner)
         self.monitor = TenantActivityMonitor(config.replication_factor)
-        self.trace = TraceRecorder()
         self.observer = observer if observer is not None else NULL_OBSERVER
         if self.observer.enabled:
             self.monitor.observe_with(self.observer)
@@ -254,7 +252,6 @@ class ThriftyService:
                 monitor=self.monitor.group(name),
                 scaling=self._make_scaling(),
                 monitor_interval_s=self._monitor_interval,
-                trace=self.trace,
                 observer=self.observer,
                 fault=self._fault,
                 health=self.health,

@@ -29,12 +29,11 @@ Minimal session::
     service.replay(until=DAY)
     write_run_report("out/", observer, horizon=DAY)
 
-The original :class:`~repro.simulation.trace.TraceRecorder` is subsumed
-by the sink API but kept as a compatibility shim: it is re-exported here,
-and :class:`TraceRecorderSink` adapts it to the sink interface.
+This is the runtime's only telemetry path: overflow, park, retry,
+failover and failure are query-span events and counters, and scale-ups
+are ``scaling`` spans (``MemorySink.spans_of("scaling")``).
 """
 
-from ..simulation.trace import TraceEntry, TraceRecorder
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .observer import NULL_OBSERVER, Observer
 from .profiling import PROFILER, ProfileRegistry, profiled
@@ -48,8 +47,6 @@ from .sink import (
     ObsSink,
     SpanEvent,
     SpanRecord,
-    TeeSink,
-    TraceRecorderSink,
 )
 from .tracing import STATUS_INFLIGHT, Span, Tracer
 
@@ -75,11 +72,7 @@ __all__ = [
     "ObsSink",
     "SpanEvent",
     "SpanRecord",
-    "TeeSink",
-    "TraceRecorderSink",
     "Span",
     "STATUS_INFLIGHT",
     "Tracer",
-    "TraceEntry",
-    "TraceRecorder",
 ]

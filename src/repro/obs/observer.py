@@ -23,7 +23,7 @@ from .metrics import (
     MetricsRegistry,
 )
 from .profiling import PROFILER, ProfileRegistry
-from .sink import MemorySink, NULL_SINK, ObsEvent, ObsSink, TeeSink, attrs_tuple
+from .sink import MemorySink, NULL_SINK, ObsEvent, ObsSink, attrs_tuple
 from .tracing import Tracer
 
 __all__ = ["Observer", "NULL_OBSERVER"]
@@ -140,20 +140,13 @@ class Observer:
         return self.sink.enabled
 
     def event(self, time: float, kind: str, **attrs: object) -> None:
-        """Emit a one-shot event (the TraceRecorder record shape)."""
+        """Emit a one-shot event to the sink."""
         if self.sink.enabled:
             self.sink.on_event(ObsEvent(time=time, kind=kind, attrs=attrs_tuple(attrs)))
 
     def memory_sink(self) -> Optional[MemorySink]:
-        """The first :class:`MemorySink` behind this observer, if any."""
-        sink = self.sink
-        if isinstance(sink, MemorySink):
-            return sink
-        if isinstance(sink, TeeSink):
-            for child in sink.sinks:
-                if isinstance(child, MemorySink):
-                    return child
-        return None
+        """The :class:`MemorySink` behind this observer, if it has one."""
+        return self.sink if isinstance(self.sink, MemorySink) else None
 
 
 #: Shared do-nothing observer used as the default everywhere.

@@ -182,8 +182,8 @@ def write_run_report(
 ) -> RunReportPaths:
     """Write metrics.jsonl, spans.jsonl and summary.json under ``out_dir``.
 
-    The observer must be backed (directly or through a tee) by a
-    :class:`MemorySink`; the null sink has nothing to export.
+    The observer must be backed by a :class:`MemorySink`; the null sink
+    has nothing to export.
     """
     sink = observer.memory_sink()
     if sink is None:

@@ -2,20 +2,17 @@
 
 Everything the instrumented runtime emits flows through an
 :class:`ObsSink`: metric samples, finished spans, and one-shot events.
-Three production sinks cover the use cases:
+Two sinks cover the use cases:
 
 * :class:`NullSink` — the default.  ``enabled`` is ``False``, so every
   instrumentation site short-circuits before building a record; replays
   and benchmarks pay one attribute load and a branch per site.
 * :class:`MemorySink` — collects everything in order, with JSONL export
   (``metrics.jsonl`` / ``spans.jsonl``) for the run report.
-* :class:`TraceRecorderSink` — the compatibility shim around the original
-  :class:`~repro.simulation.trace.TraceRecorder`: events append as trace
-  entries and finished spans append as ``span/<kind>`` entries, so code
-  written against the recorder keeps working unchanged.
 
-:class:`TeeSink` fans one emission out to several sinks (e.g. a memory
-sink for the run report plus the legacy recorder).
+There is one telemetry path: overflow, park, retry, failover and failure
+are query-span events plus counters, and each scale-up is a ``scaling``
+span, so a replay's history is read back from a :class:`MemorySink`.
 
 All timestamps are **simulated** seconds from the replay clock, so two
 runs of the same scenario produce byte-identical exports.
@@ -27,9 +24,7 @@ import abc
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
-
-from ..simulation.trace import TraceRecorder
+from typing import Any, Iterable, Mapping, Optional, Union
 
 __all__ = [
     "MetricSample",
@@ -39,8 +34,6 @@ __all__ = [
     "ObsSink",
     "NullSink",
     "MemorySink",
-    "TraceRecorderSink",
-    "TeeSink",
     "NULL_SINK",
 ]
 
@@ -124,7 +117,7 @@ class SpanRecord:
 
 @dataclass(frozen=True)
 class ObsEvent:
-    """A one-shot event (the :class:`TraceRecorder` record shape)."""
+    """A one-shot event: a kind and its attributes at one sim time."""
 
     time: float
     kind: str
@@ -229,64 +222,6 @@ def _write_jsonl(path: Union[str, Path], rows: Iterable[Mapping[str, object]]) -
             handle.write(json.dumps(row, sort_keys=True))
             handle.write("\n")
     return target
-
-
-class TraceRecorderSink(ObsSink):
-    """Compatibility shim: forwards emissions into a :class:`TraceRecorder`.
-
-    Events map 1:1 onto trace entries; a finished span becomes one
-    ``span/<kind>`` entry at its end time (carrying start/status/attrs).
-    Metric samples are not recorded — the recorder predates metrics and
-    its consumers only understand events.
-    """
-
-    def __init__(self, recorder: Optional[TraceRecorder] = None) -> None:
-        self.recorder = recorder if recorder is not None else TraceRecorder()
-
-    def on_metric(self, sample: MetricSample) -> None:
-        """Metrics have no trace-entry representation; dropped."""
-
-    def on_span(self, span: SpanRecord) -> None:
-        """Record the finished span as a ``span/<kind>`` entry."""
-        self.recorder.record(
-            span.end,
-            f"span/{span.kind or span.name}",
-            start=span.start,
-            status=span.status,
-            **{k: _jsonable(v) for k, v in span.attrs},
-        )
-
-    def on_event(self, event: ObsEvent) -> None:
-        """Record the event verbatim."""
-        self.recorder.record(
-            event.time, event.kind, **{k: _jsonable(v) for k, v in event.attrs}
-        )
-
-
-class TeeSink(ObsSink):
-    """Fans every emission out to several child sinks."""
-
-    def __init__(self, sinks: Sequence[ObsSink]) -> None:
-        self.sinks: tuple[ObsSink, ...] = tuple(sinks)
-        self.enabled = any(s.enabled for s in self.sinks)
-
-    def on_metric(self, sample: MetricSample) -> None:
-        """Forward to every enabled child."""
-        for sink in self.sinks:
-            if sink.enabled:
-                sink.on_metric(sample)
-
-    def on_span(self, span: SpanRecord) -> None:
-        """Forward to every enabled child."""
-        for sink in self.sinks:
-            if sink.enabled:
-                sink.on_span(span)
-
-    def on_event(self, event: ObsEvent) -> None:
-        """Forward to every enabled child."""
-        for sink in self.sinks:
-            if sink.enabled:
-                sink.on_event(event)
 
 
 def attrs_tuple(attrs: Mapping[str, Any]) -> tuple[tuple[str, AttrValue], ...]:

@@ -3,16 +3,15 @@
 A minimal but complete event-driven simulator used by the MPPDB execution
 model and the Thrifty runtime replay: a priority event queue
 (:mod:`~repro.simulation.events`), a monotonic clock, an engine with
-scheduling and interruption (:mod:`~repro.simulation.engine`), trace
-recording (:mod:`~repro.simulation.trace`) and time-series metrics
-(:mod:`~repro.simulation.metrics`).
+scheduling and interruption (:mod:`~repro.simulation.engine`) and
+time-series metrics (:mod:`~repro.simulation.metrics`).  Run-time
+telemetry (spans, counters) lives in :mod:`repro.obs`.
 """
 
 from .clock import Clock
 from .engine import Simulator
 from .events import Event, EventQueue, ScheduledEvent
 from .metrics import StepSeries, TimeSeries
-from .trace import TraceEntry, TraceRecorder
 
 __all__ = [
     "Clock",
@@ -22,6 +21,4 @@ __all__ = [
     "ScheduledEvent",
     "TimeSeries",
     "StepSeries",
-    "TraceEntry",
-    "TraceRecorder",
 ]

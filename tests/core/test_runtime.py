@@ -9,17 +9,22 @@ from repro.core.scaling import LightweightScaling
 from repro.core.tdd import design_for_group
 from repro.errors import DeploymentError
 from repro.mppdb.provisioning import Provisioner
+from repro.obs import MemorySink, Observer
 from repro.simulation.engine import Simulator
 from repro.workload.logs import QueryRecord, TenantLog
 from repro.workload.queries import template_by_name
 from repro.workload.tenant import TenantSpec
 
 
-def _deploy(num_tenants=4, nodes=2, num_instances=3, tuning_parallelism=None):
+def _deploy(num_tenants=4, nodes=2, num_instances=3, tuning_parallelism=None, data_gb=None):
     sim = Simulator()
     provisioner = Provisioner(sim)
     tenants = tuple(
-        TenantSpec(tenant_id=i, nodes_requested=nodes, data_gb=nodes * 100.0)
+        TenantSpec(
+            tenant_id=i,
+            nodes_requested=nodes,
+            data_gb=nodes * 100.0 if data_gb is None else data_gb,
+        )
         for i in range(1, num_tenants + 1)
     )
     design, placement = design_for_group(
@@ -168,6 +173,48 @@ class TestElasticScalingDuringReplay:
         assert action.kind == "lightweight"
         # The busiest tenant is the one isolated.
         assert 1 in action.over_active
+
+
+class TestZeroWorkQuery:
+    """A query with no work completes inside ``submit_query`` itself."""
+
+    def _replay(self, submits, closed_loop=False):
+        # No data means no work: the engine finishes the query on admission.
+        sim, provisioner, deployed, tenants = _deploy(data_gb=0.0)
+        logs = {t.tenant_id: _log(t, submits if t.tenant_id == 1 else []) for t in tenants}
+        sink = MemorySink()
+        runtime = GroupRuntime(
+            deployed,
+            logs,
+            sim,
+            provisioner,
+            sla_fraction=0.999,
+            closed_loop=closed_loop,
+            observer=Observer(sink),
+        )
+        return runtime.run(until=1000.0), runtime, sink
+
+    def test_settles_one_sla_record_and_a_complete_span(self):
+        report, runtime, sink = self._replay([100.0])
+        (record,) = report.sla.records
+        assert record.observed_latency_s == 0.0
+        assert record.submit_time_s == 100.0
+        assert report.queries_submitted == report.queries_completed == 1
+        assert not runtime._live and not runtime._inflight
+        (span,) = sink.spans_of("query")
+        assert span.status == "complete"
+        assert [e.name for e in span.events][-1] == "complete"
+        assert span.start == span.end == 100.0
+
+    def test_advances_its_closed_loop_chain(self):
+        # Each completion must schedule the user's next event; a chain that
+        # stalled would submit only the first of the three queries.
+        report, runtime, sink = self._replay([100.0, 200.0, 300.0], closed_loop=True)
+        assert report.queries_completed == 3
+        assert [r.submit_time_s for r in report.sla.records] == [100.0, 200.0, 300.0]
+        assert all(r.observed_latency_s == 0.0 for r in report.sla.records)
+        assert [s.status for s in sink.spans_of("query")] == ["complete"] * 3
+        assert not runtime._live
 
 
 class TestValidation:

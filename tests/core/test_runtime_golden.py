@@ -1,0 +1,176 @@
+"""Golden pins for the run-time replay layer.
+
+Three small seeded replays exercise every per-query path of
+:class:`~repro.core.runtime.GroupRuntime`: abort -> retry -> failover on a
+replicated deployment, park -> deadline failure on a single-replica one,
+and closed-loop event chains.  Each replay's observable outcome — SLA
+records, fault records, RT-TTP samples, scaling actions, and the bytes of
+a :class:`~repro.obs.MemorySink`'s ``spans.jsonl`` and ``summary.json`` —
+is hashed and compared against a constant.  A refactor of the runtime
+must leave every digest unchanged; if one moves, the behaviour moved.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.cluster.failures import FailureInjector
+from repro.core.advisor import DeploymentAdvisor
+from repro.core.fault import RetryPolicy
+from repro.core.master import DeploymentMaster
+from repro.core.runtime import GroupRuntime, RuntimeReport
+from repro.core.scaling import LightweightScaling
+from repro.core.service import ThriftyService
+from repro.mppdb.provisioning import Provisioner
+from repro.obs import MemorySink, Observer, build_summary
+from repro.rng import RngFactory
+from repro.simulation.engine import Simulator
+from repro.units import DAY
+from repro.workload.composer import MultiTenantLogComposer
+from repro.workload.generator import SessionLogGenerator
+from tests.conftest import tiny_config
+from tests.test_chaos_integration import _kill_first_busy_instance
+
+#: sha256 prefixes of each replay's pinned outputs (see ``_digests``).
+GOLDEN = {
+    "failover": {
+        "counts": "384e9c407b437192",
+        "faults": "f865256c77f3fc9f",
+        "rt_ttp": "a4242a29268d0afd",
+        "scaling": "f865256c77f3fc9f",
+        "sla": "e388065043cc6a24",
+        "spans.jsonl": "e3e3575b4f103a6c",
+        "summary.json": "67fd0c1c15765943",
+    },
+    "parked": {
+        "counts": "71cc85079bfb55b4",
+        "faults": "bc10c40867c1ad00",
+        "rt_ttp": "68e64798565af2b5",
+        "scaling": "bf6a55b6fbeccb23",
+        "sla": "25caf6eb95094b17",
+        "spans.jsonl": "87b79e163e4de350",
+        "summary.json": "6708b70ca8890ad4",
+    },
+    "closed_loop": {
+        "counts": "f8756f44872549f8",
+        "faults": "cf1cbb66a638b486",
+        "rt_ttp": "83e0634532d823b3",
+        "scaling": "cf1cbb66a638b486",
+        "sla": "a8f2f9c1c499aa69",
+        "spans.jsonl": "39ae5d7d21d05c57",
+        "summary.json": "8d9fa59ea63fb9b8",
+    },
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _digests(
+    reports: list[RuntimeReport], sink: MemorySink, simulator: Simulator, horizon: float, tmp: Path
+) -> dict[str, str]:
+    """Hash what the replay produced, one digest per output kind."""
+    spans = sink.write_spans_jsonl(tmp / "spans.jsonl").read_text(encoding="utf-8")
+    summary = build_summary(
+        sink, horizon=horizon, simulator_events=simulator.event_counts
+    )
+    return {
+        "sla": _sha(repr([r.sla.records for r in reports])),
+        "faults": _sha(repr([r.fault_records for r in reports])),
+        "rt_ttp": _sha(repr([r.rt_ttp_samples for r in reports])),
+        "scaling": _sha(repr([r.scaling_actions for r in reports])),
+        "counts": _sha(
+            repr(
+                [
+                    (
+                        r.group_name,
+                        r.queries_submitted,
+                        r.queries_completed,
+                        r.overflow_queries,
+                        r.queries_retried,
+                        r.queries_failed,
+                        r.failovers,
+                    )
+                    for r in reports
+                ]
+            )
+        ),
+        "spans.jsonl": _sha(spans),
+        "summary.json": _sha(json.dumps(summary, indent=2, sort_keys=True) + "\n"),
+    }
+
+
+def _service_replay(config, fault=None):
+    """A node of the first busy instance dies mid-query one hour in."""
+    library = SessionLogGenerator(config, sessions_per_size=3).generate()
+    workload = MultiTenantLogComposer(config, library).compose()
+    sink = MemorySink()
+    service = ThriftyService(config, observer=Observer(sink), fault=fault)
+    service.deploy(workload)
+    injector = FailureInjector(
+        service.pool, service.simulator, 1e12, RngFactory(5).stream("chaos", "kill")
+    )
+    service.health.watch(injector)
+    killed: dict[str, object] = {}
+    _kill_first_busy_instance(service, injector, killed)
+    report = service.replay(until=1 * DAY)
+    assert "instance" in killed
+    reports = [report.group_reports[name] for name in sorted(report.group_reports)]
+    return reports, sink, service.simulator
+
+
+def _closed_loop_replay():
+    """One planned group replayed with closed-loop user chains."""
+    config = tiny_config(num_tenants=24, seed=13)
+    library = SessionLogGenerator(config, sessions_per_size=3).generate()
+    workload = MultiTenantLogComposer(config, library).compose()
+    plan = DeploymentAdvisor(config).plan_from_workload(workload).plan
+    group = max(plan.groups, key=lambda g: (len(g.tenants), g.group_name))
+    sim = Simulator()
+    provisioner = Provisioner(sim)
+    deployed = DeploymentMaster(provisioner).deploy_group(group, instant=True)
+    logs = {t: workload.tenant_log(t) for t in group.placement.tenant_ids}
+    sink = MemorySink()
+    runtime = GroupRuntime(
+        deployed,
+        logs,
+        sim,
+        provisioner,
+        sla_fraction=config.sla_fraction,
+        scaling=LightweightScaling(identification_epoch_s=10.0),
+        closed_loop=True,
+        observer=Observer(sink),
+    )
+    report = runtime.run(until=2 * DAY)
+    return [report], sink, sim
+
+
+def _run(name: str):
+    if name == "failover":
+        return _service_replay(tiny_config(num_tenants=24, seed=13)), 1 * DAY
+    if name == "parked":
+        config = tiny_config(num_tenants=24, seed=13, replication_factor=1)
+        return _service_replay(config, fault=RetryPolicy(queue_deadline_s=600.0)), 1 * DAY
+    return _closed_loop_replay(), 2 * DAY
+
+
+def _reaches_its_path(name: str, reports: list[RuntimeReport], sink: MemorySink) -> bool:
+    """Whether the replay really exercised the path it is there to pin."""
+    if name == "failover":
+        return sum(r.failovers for r in reports) >= 1
+    if name == "parked":
+        return any(r.fault_records for r in reports)
+    statuses = {span.status for span in sink.spans_of("query")}
+    return "complete" in statuses and "inflight" in statuses
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_runtime_outputs_are_pinned(name, tmp_path):
+    (reports, sink, simulator), horizon = _run(name)
+    assert _reaches_its_path(name, reports, sink)
+    assert _digests(reports, sink, simulator, horizon, tmp_path) == GOLDEN[name]

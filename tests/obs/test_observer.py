@@ -1,6 +1,6 @@
 """The Observer façade: instrument contract, events, sink discovery."""
 
-from repro.obs import MemorySink, NULL_OBSERVER, NullSink, Observer, TeeSink
+from repro.obs import MemorySink, NULL_OBSERVER, NullSink, Observer
 
 
 class TestNullObserver:
@@ -76,11 +76,6 @@ class TestMemorySinkDiscovery:
     def test_direct(self):
         sink = MemorySink()
         assert Observer(sink).memory_sink() is sink
-
-    def test_through_tee(self):
-        memory = MemorySink()
-        observer = Observer(TeeSink([NullSink(), memory]))
-        assert observer.memory_sink() is memory
 
     def test_absent(self):
         assert Observer(NullSink()).memory_sink() is None

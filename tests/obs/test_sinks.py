@@ -1,4 +1,4 @@
-"""Sink behaviour: null short-circuit, memory collection, tee, the shim."""
+"""Sink behaviour: null short-circuit and memory collection."""
 
 import json
 
@@ -10,11 +10,8 @@ from repro.obs import (
     ObsEvent,
     SpanEvent,
     SpanRecord,
-    TeeSink,
-    TraceRecorderSink,
 )
 from repro.obs.sink import attrs_tuple
-from repro.simulation.trace import TraceRecorder
 
 
 def _sample(t=1.0, name="m", value=2.0, labels=()):
@@ -96,50 +93,6 @@ class TestMemorySink:
         assert span_row["status"] == "complete"
         assert span_row["attrs"] == {"tenant": 7, "ids": [1, 2]}
         assert span_row["events"][0]["name"] == "submit"
-
-
-class TestTraceRecorderSink:
-    def test_events_become_trace_entries(self):
-        recorder = TraceRecorder()
-        sink = TraceRecorderSink(recorder)
-        sink.on_event(ObsEvent(time=5.0, kind="elastic-scaling", attrs=(("policy", "lw"),)))
-        (entry,) = list(recorder)
-        assert entry.time == 5.0
-        assert entry.kind == "elastic-scaling"
-        assert entry.details["policy"] == "lw"
-
-    def test_spans_become_span_kind_entries(self):
-        sink = TraceRecorderSink()
-        sink.on_span(_span(kind="query", status="violate"))
-        (entry,) = list(sink.recorder)
-        assert entry.kind == "span/query"
-        assert entry.time == 3.0  # span end time
-        assert entry.details["status"] == "violate"
-        assert entry.details["start"] == 0.0
-
-    def test_metrics_dropped(self):
-        sink = TraceRecorderSink()
-        sink.on_metric(_sample())
-        assert len(sink.recorder) == 0
-
-
-class TestTeeSink:
-    def test_fans_out_to_enabled_children_only(self):
-        a, b = MemorySink(), MemorySink()
-        null = NullSink()
-        tee = TeeSink([a, null, b])
-        tee.on_metric(_sample())
-        tee.on_span(_span())
-        tee.on_event(ObsEvent(time=0.0, kind="k"))
-        for child in (a, b):
-            assert len(child.metrics) == 1
-            assert len(child.spans) == 1
-            assert len(child.events) == 1
-
-    def test_enabled_is_any_child(self):
-        assert TeeSink([NullSink(), MemorySink()]).enabled
-        assert not TeeSink([NullSink(), NullSink()]).enabled
-        assert not TeeSink([]).enabled
 
 
 class TestAttrsTuple:

@@ -49,7 +49,11 @@ def _kill_first_busy_instance(service, injector, killed, probe_interval_s=60.0):
 
 
 def _books_balance(service, report):
-    """submitted == completed + failed + still-parked + still-inflight."""
+    """submitted == completed + failed + still-parked + still-inflight.
+
+    Blind to queries waiting out a retry backoff (neither parked nor in
+    flight); ``test_books_balance_inside_a_retry_backoff`` covers those.
+    """
     for name, group_report in report.group_reports.items():
         runtime = service._runtimes[name]
         assert group_report.queries_submitted == (
@@ -60,8 +64,7 @@ def _books_balance(service, report):
         ), f"group {name} books do not balance"
 
 
-@pytest.fixture(scope="module")
-def failover_run():
+def _failover_replay(until):
     """Replicated deployment with a node failure injected mid-query."""
     config = tiny_config(num_tenants=24, seed=13)
     assert config.replication_factor >= 2
@@ -72,8 +75,13 @@ def failover_run():
     service.health.watch(injector)
     killed = {}
     _kill_first_busy_instance(service, injector, killed)
-    report = service.replay(until=1 * DAY)
+    report = service.replay(until=until)
     return service, report, killed
+
+
+@pytest.fixture(scope="module")
+def failover_run():
+    return _failover_replay(1 * DAY)
 
 
 class TestFailover:
@@ -106,6 +114,30 @@ class TestFailover:
     def test_sla_survives_the_failure(self, failover_run):
         __, report, __ = failover_run
         assert report.sla.fraction_met > 0.9
+
+    def test_books_balance_inside_a_retry_backoff(self, failover_run):
+        # Stop the same replay half a second after the kill: the aborted
+        # queries are waiting out their 1 s retry backoff, so they are
+        # neither running nor parked — yet still live.
+        __, __, killed = failover_run
+        service, report, again = _failover_replay(killed["time"] + 0.5)
+        assert again == killed
+        retrying = [
+            entry
+            for entry in service.simulator._queue._heap
+            if not entry.cancelled and entry.event.label == "query-retry"
+        ]
+        assert retrying
+        waiting = 0
+        for name, group_report in report.group_reports.items():
+            runtime = service._runtimes[name]
+            assert group_report.queries_submitted == (
+                group_report.queries_completed
+                + group_report.queries_failed
+                + len(runtime._live)
+            ), f"group {name} books do not balance"
+            waiting += len(runtime._live) - len(runtime._parked) - len(runtime._inflight)
+        assert waiting == len(retrying)
 
 
 @pytest.fixture(scope="module")
