@@ -573,6 +573,7 @@ class GroupRuntime:
             self._provisioner,
             self._sla_fraction,
             observer=self._observer,
+            rt_ttp=rt_ttp,
         )
 
     def schedule(self, until: float) -> int:

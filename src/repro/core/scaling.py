@@ -91,12 +91,15 @@ class ScalingPolicy(abc.ABC):
         provisioner: Provisioner,
         sla_fraction: float,
         observer: Optional["Observer"] = None,
+        rt_ttp: Optional[float] = None,
     ) -> Optional[ScalingAction]:
         """Check the trigger and, if firing, start a scale-up.
 
         At most one scale-up is in flight per group — starting a second
         MPPDB while the first is still loading would double-pay the
-        heavyweight operation for the same deviation.
+        heavyweight operation for the same deviation.  ``rt_ttp`` is the
+        group's RT-TTP at ``now`` over :attr:`window_s` when the caller
+        already holds it; otherwise it is read from ``monitor``.
         """
         if group.group_name in self._in_flight:
             return None
@@ -105,7 +108,8 @@ class ScalingPolicy(abc.ABC):
             # The sliding window still contains pre-action history; give the
             # previous scale-up one full window to take effect.
             return None
-        rt_ttp = monitor.rt_ttp(now, self.window_s)
+        if rt_ttp is None:
+            rt_ttp = monitor.rt_ttp(now, self.window_s)
         if not self._should_scale(now, group.group_name, rt_ttp, sla_fraction):
             return None
         action = self._scale(now, group, monitor, router, provisioner, sla_fraction)

@@ -13,6 +13,7 @@ events (a query's completion moves when the concurrency level changes), so
 
 from __future__ import annotations
 
+import math
 from typing import Any, Optional
 
 from ..errors import SimulationError
@@ -97,10 +98,12 @@ class Simulator:
 
     def step(self) -> Optional[Event]:
         """Fire the single next event; return it, or ``None`` when idle."""
-        next_time = self._queue.peek_time()
-        if next_time is None:
-            return None
-        event = self._queue.pop()
+        event = self._queue.pop_due(math.inf)
+        if event is not None:
+            self._fire(event)
+        return event
+
+    def _fire(self, event: Event) -> None:
         self.clock.advance_to(event.time)
         self._events_fired += 1
         counts = self._event_counts
@@ -108,7 +111,6 @@ class Simulator:
             label = event.label or "(unlabeled)"
             counts[label] = counts.get(label, 0) + 1
         event.callback(event.time)
-        return event
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` is reached, or
@@ -122,16 +124,16 @@ class Simulator:
             raise SimulationError("run() re-entered from inside an event callback")
         self._running = True
         fired = 0
+        pop_due = self._queue.pop_due
+        fire = self._fire
+        limit = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         try:
-            while True:
-                if max_events is not None and fired >= max_events:
+            while fired < budget:
+                event = pop_due(limit)
+                if event is None:
                     break
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                self.step()
+                fire(event)
                 fired += 1
         finally:
             self._running = False

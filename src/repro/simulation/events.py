@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+import math
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, cast
 
 from ..errors import SimulationError
 
@@ -32,18 +33,40 @@ class Event:
     payload: Any = None
 
 
-@dataclass(order=True)
-class ScheduledEvent:
-    """A queue entry: an :class:`Event` plus ordering and cancellation state."""
+class ScheduledEvent(list[Any]):
+    """A queue entry: an :class:`Event` plus ordering and cancellation state.
 
-    time: float
-    sequence: int
-    event: Event = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    Laid out as the list ``[time, sequence, event, cancelled]`` so that
+    ``heapq`` orders entries with C list comparison.  Sequence numbers are
+    unique, so two entries never tie on ``(time, sequence)`` and the
+    comparison never reaches the :class:`Event`.
+    """
+
+    __slots__ = ()
+
+    @property
+    def time(self) -> float:
+        """Fire time."""
+        return cast(float, self[0])
+
+    @property
+    def sequence(self) -> int:
+        """Insertion order, the tie-break among equal times."""
+        return cast(int, self[1])
+
+    @property
+    def event(self) -> Event:
+        """The scheduled event."""
+        return cast(Event, self[2])
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether the entry was cancelled (it is skipped when popped)."""
+        return cast(bool, self[3])
 
     def cancel(self) -> None:
         """Mark the entry dead; it will be skipped when popped."""
-        self.cancelled = True
+        self[3] = True
 
 
 class EventQueue:
@@ -69,7 +92,7 @@ class EventQueue:
         """Schedule ``event`` and return a handle usable for cancellation."""
         if event.time < 0:
             raise SimulationError(f"cannot schedule an event at negative time {event.time!r}")
-        entry = ScheduledEvent(time=event.time, sequence=next(self._counter), event=event)
+        entry = ScheduledEvent((event.time, next(self._counter), event, False))
         heapq.heappush(self._heap, entry)
         self._live += 1
         return entry
@@ -82,25 +105,36 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Fire time of the next live event, or ``None`` when empty."""
-        self._discard_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0].time
+        heap = self._heap
+        while heap and heap[0][3]:
+            heapq.heappop(heap)
+        return heap[0].time if heap else None
 
     def pop(self) -> Event:
         """Remove and return the next live event."""
-        self._discard_cancelled()
-        if not self._heap:
+        event = self.pop_due(math.inf)
+        if event is None:
             raise SimulationError("pop() from an empty event queue")
-        entry = heapq.heappop(self._heap)
-        self._live -= 1
-        return entry.event
+        return event
+
+    def pop_due(self, until: float) -> Optional[Event]:
+        """Remove and return the next live event if it fires at or before
+        ``until``; otherwise leave the queue as it is and return ``None``."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[3]:
+                heapq.heappop(heap)
+            elif entry[0] > until:
+                return None
+            else:
+                heapq.heappop(heap)
+                self._live -= 1
+                event: Event = entry[2]
+                return event
+        return None
 
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()
         self._live = 0
-
-    def _discard_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)

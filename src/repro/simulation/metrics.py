@@ -105,19 +105,35 @@ class StepSeries:
     def __init__(self, initial: float = 0.0, start_time: float = 0.0) -> None:
         self._times: list[float] = [float(start_time)]
         self._values: list[float] = [float(initial)]
+        # threshold -> ascending indices of the change points whose value
+        # exceeds it; built on the first query for a threshold, then kept
+        # current by ``set``.
+        self._above: dict[float, list[int]] = {}
 
     def set(self, time: float, value: float) -> None:
         """Change the signal value at ``time`` (non-decreasing times)."""
-        if time < self._times[-1]:
+        times = self._times
+        if time < times[-1]:
             raise SimulationError(
-                f"changes must be time-ordered: {time!r} < last {self._times[-1]!r}"
+                f"changes must be time-ordered: {time!r} < last {times[-1]!r}"
             )
-        if time == self._times[-1]:
+        value = float(value)
+        last = len(times) - 1
+        if time == times[-1]:
             # Same-instant update overrides the previous change.
-            self._values[-1] = float(value)
+            self._values[-1] = value
+            for threshold, above in self._above.items():
+                if above and above[-1] == last:
+                    if not value > threshold:
+                        above.pop()
+                elif value > threshold:
+                    above.append(last)
             return
-        self._times.append(float(time))
-        self._values.append(float(value))
+        times.append(float(time))
+        self._values.append(value)
+        for threshold, above in self._above.items():
+            if value > threshold:
+                above.append(last + 1)
 
     def increment(self, time: float, delta: float = 1.0) -> None:
         """Step the current value by ``delta`` at ``time``."""
@@ -143,9 +159,31 @@ class StepSeries:
         return self._integrate(start, end, lambda v: v) / self._length(start, end)
 
     def fraction_time_above(self, threshold: float, start: float, end: float) -> float:
-        """Fraction of ``[start, end)`` the signal spends strictly above ``threshold``."""
-        above = self._integrate(start, end, lambda v: 1.0 if v > threshold else 0.0)
-        return above / self._length(start, end)
+        """Fraction of ``[start, end)`` the signal spends strictly above ``threshold``.
+
+        Visits only the window's change points above ``threshold``, in
+        ascending order, and clips the first segment to ``start`` and the
+        last to ``end``.  A segment at or below the threshold would add an
+        exact ``0.0``, so the sum is bit-identical to a fold over every
+        segment of the window.
+        """
+        length = self._length(start, end)
+        above = self._above.get(threshold)
+        if above is None:
+            above = [i for i, v in enumerate(self._values) if v > threshold]
+            self._above[threshold] = above
+        times = self._times
+        last = len(times) - 1
+        first = max(bisect.bisect_right(times, start) - 1, 0)
+        total = 0.0
+        for k in range(bisect.bisect_left(above, first), len(above)):
+            i = above[k]
+            seg_start = start if i == first else times[i]
+            if seg_start >= end:
+                break
+            seg_end = times[i + 1] if i < last else end
+            total += (seg_end if seg_end < end else end) - seg_start
+        return total / length
 
     def fraction_time_at_most(self, threshold: float, start: float, end: float) -> float:
         """Fraction of ``[start, end)`` with the signal ``<= threshold``.

@@ -11,7 +11,7 @@ intervals derived from it; busy intervals are what the epoch discretization
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..errors import WorkloadError
@@ -43,7 +43,9 @@ class QueryRecord:
 
     def shifted(self, offset_s: float) -> "QueryRecord":
         """Copy with the submit time shifted by ``offset_s`` (composition step)."""
-        return replace(self, submit_time_s=self.submit_time_s + offset_s)
+        return QueryRecord(
+            self.submit_time_s + offset_s, self.latency_s, self.template, self.user, self.batch_id
+        )
 
 
 def merge_intervals(intervals: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:

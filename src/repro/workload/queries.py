@@ -13,6 +13,7 @@ activity — so this is the exact interface the system exercises.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from ..errors import WorkloadError
@@ -63,16 +64,25 @@ class QueryTemplate:
         return isinstance(self.curve, LinearScaleOut)
 
 
+@functools.cache
+def _templates_by_name() -> dict[str, QueryTemplate]:
+    # Imported here, not at module level: the registries import this module.
+    from .tpcds import TPCDS_TEMPLATES
+    from .tpch import TPCH_TEMPLATES
+
+    return {
+        template.name: template
+        for registry in (TPCH_TEMPLATES, TPCDS_TEMPLATES)
+        for template in registry.values()
+    }
+
+
 def template_by_name(name: str) -> QueryTemplate:
     """Resolve a template by its full name, e.g. ``"tpch.q19"``.
 
     Used by the runtime replay to recover a logged query's cost model.
     """
-    from .tpcds import TPCDS_TEMPLATES
-    from .tpch import TPCH_TEMPLATES
-
-    for registry in (TPCH_TEMPLATES, TPCDS_TEMPLATES):
-        for template in registry.values():
-            if template.name == name:
-                return template
-    raise WorkloadError(f"unknown query template {name!r}")
+    template = _templates_by_name().get(name)
+    if template is None:
+        raise WorkloadError(f"unknown query template {name!r}")
+    return template

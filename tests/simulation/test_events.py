@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation.events import Event, EventQueue
+from repro.simulation.events import Event, EventQueue, ScheduledEvent
 
 
 def _noop(_t: float) -> None:
@@ -69,3 +69,65 @@ class TestEventQueue:
         assert len(queue) == 4
         queue.pop()
         assert len(queue) == 3
+
+
+class TestListEntryLayout:
+    """``ScheduledEvent`` is a ``[time, seq, event, cancelled]`` list that
+    ``heapq`` compares in C; these pin the behaviour that layout must keep."""
+
+    def test_fifo_tie_break_across_many_pushes(self):
+        queue = EventQueue()
+        times = [float(i % 7) for i in range(10_000)]
+        for i, t in enumerate(times):
+            queue.push(Event(time=t, callback=_noop, label=str(i)))
+        popped = [queue.pop() for _ in range(len(times))]
+        expected = sorted(range(len(times)), key=lambda i: (times[i], i))
+        assert [int(e.label) for e in popped] == expected
+
+    def test_cancelled_entries_are_skipped_and_len_tracks_live(self):
+        queue = EventQueue()
+        entries = [queue.push(Event(time=float(i // 2), callback=_noop, label=str(i))) for i in range(20)]
+        for entry in entries[::3]:
+            queue.cancel(entry)
+        live = [e for e in entries if not e.cancelled]
+        assert len(queue) == len(live)
+        labels = []
+        while queue:
+            labels.append(queue.pop().label)
+            assert len(queue) == len(live) - len(labels)
+        assert labels == [e.event.label for e in live]
+        assert queue.peek_time() is None
+
+    def test_entry_fields_are_readable_on_heap_items(self):
+        queue = EventQueue()
+        first = queue.push(Event(time=2.0, callback=_noop, label="a"))
+        queue.push(Event(time=1.0, callback=_noop, label="b"))
+        queue.cancel(first)
+        by_label = {entry.event.label: entry for entry in queue._heap}
+        assert set(by_label) == {"a", "b"}
+        a, b = by_label["a"], by_label["b"]
+        assert (a.time, a.sequence, a.cancelled) == (2.0, 0, True)
+        assert (b.time, b.sequence, b.cancelled) == (1.0, 1, False)
+        assert isinstance(a, ScheduledEvent) and list(a) == [2.0, 0, a.event, True]
+        with pytest.raises(AttributeError):
+            a.time = 3.0  # read-only view of the list slot
+
+    def test_entries_never_compare_their_events(self):
+        class Uncomparable:
+            def __eq__(self, other):
+                raise AssertionError("an Event payload was compared")
+
+            __lt__ = __gt__ = __le__ = __ge__ = __eq__
+            __hash__ = object.__hash__
+
+        queue = EventQueue()
+        for i in range(500):
+            # Many equal times, equal callbacks and payloads that refuse to
+            # be compared: only the unique sequence number may break a tie.
+            queue.push(Event(time=1.0, callback=lambda t: None, payload=Uncomparable()))
+            queue.push(Event(time=float(i % 3), callback=_noop, payload=Uncomparable()))
+        keys = [(entry.time, entry.sequence) for entry in queue._heap]
+        assert len(set(keys)) == len(keys)
+        expected = [entry.event for entry in sorted(queue._heap, key=lambda e: (e.time, e.sequence))]
+        popped = [queue.pop() for _ in range(len(expected))]
+        assert all(got is want for got, want in zip(popped, expected))

@@ -23,6 +23,20 @@ class TestQueryRecord:
         assert moved.latency_s == 5.0
         assert record.submit_time_s == 10.0  # original untouched
 
+    def test_shifted_keeps_every_other_field(self):
+        record = QueryRecord(
+            submit_time_s=10.0, latency_s=5.0, template="tpcds.q72", user=3, batch_id=9
+        )
+        assert record.shifted(2.5) == QueryRecord(
+            submit_time_s=12.5, latency_s=5.0, template="tpcds.q72", user=3, batch_id=9
+        )
+
+    def test_shifted_rejects_a_negative_submit_time(self):
+        record = QueryRecord(submit_time_s=10.0, latency_s=5.0, template="tpch.q1")
+        assert record.shifted(-10.0).submit_time_s == 0.0
+        with pytest.raises(WorkloadError):
+            record.shifted(-10.5)
+
     def test_validation(self):
         with pytest.raises(WorkloadError):
             QueryRecord(submit_time_s=-1.0, latency_s=1.0, template="x")

@@ -89,3 +89,12 @@ class TestTemplateByName:
     def test_unknown_name_rejected(self):
         with pytest.raises(WorkloadError):
             template_by_name("tpch.q99")
+        with pytest.raises(WorkloadError):
+            template_by_name("")
+
+    def test_every_registered_template_resolves_to_itself(self):
+        for registry in (TPCH_TEMPLATES, TPCDS_TEMPLATES):
+            for template in registry.values():
+                assert template_by_name(template.name) is template
+        # Repeated lookups return the same object, not a copy.
+        assert template_by_name("tpch.q1") is template_by_name("tpch.q1")
