@@ -9,8 +9,9 @@ EC2 cluster; the committed benches default to a laptop scale (documented
 per experiment in EXPERIMENTS.md).  Set ``REPRO_BENCH_PROFILE=smoke`` for
 a fast sanity pass or ``REPRO_BENCH_PROFILE=large`` to push closer to the
 paper's scale.  Profile names resolve through
-:func:`repro.bench.resolve_scale`, the one table of bench scales that
-``thrifty bench --scale`` reads too.
+:func:`repro.analysis.sweeps.resolve_scale`, the one table of bench
+scales.  Performance claims are measured by ``perfbench/`` (see
+``perfbench/README.md``), not by these experiments.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import os
 
 import pytest
 
-from repro.analysis.sweeps import BenchScale
-from repro.bench import resolve_scale
+from repro.analysis.sweeps import BenchScale, resolve_scale
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from ..config import EvaluationConfig, LogGenerationConfig
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError
 from ..packing.ffd import ffd_grouping
 from ..packing.livbp import LIVBPwFCProblem
 from ..packing.two_step import two_step_grouping
@@ -34,6 +34,9 @@ __all__ = [
     "sweep_parameter",
     "DEFAULT_SCALE",
     "SMOKE_SCALE",
+    "LARGE_SCALE",
+    "BENCH_SCALES",
+    "resolve_scale",
 ]
 
 
@@ -58,11 +61,34 @@ class BenchScale:
         return base
 
 
-#: Scale used by the committed benchmark harness.
+#: Laptop scale the ``pytest benchmarks/`` experiments default to.
 DEFAULT_SCALE = BenchScale()
 
 #: Tiny scale for smoke tests and CI.
 SMOKE_SCALE = BenchScale(num_tenants=150, horizon_days=7, holiday_weekdays=0, sessions_per_size=6)
+
+#: A push toward the paper's T = 5000, 30-day evaluation.
+LARGE_SCALE = BenchScale(
+    num_tenants=2000, horizon_days=21, holiday_weekdays=1, sessions_per_size=24
+)
+
+#: The named scales (``REPRO_BENCH_PROFILE`` for ``pytest benchmarks/``).
+BENCH_SCALES: dict[str, BenchScale] = {
+    "smoke": SMOKE_SCALE,
+    "default": DEFAULT_SCALE,
+    "large": LARGE_SCALE,
+}
+
+
+def resolve_scale(name: str) -> BenchScale:
+    """The :class:`BenchScale` registered under ``name``."""
+    try:
+        return BENCH_SCALES[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown bench scale {name!r}; options: {sorted(BENCH_SCALES)}"
+        ) from None
+
 
 _LIBRARY_CACHE: dict[tuple, SessionLibrary] = {}
 _WORKLOAD_CACHE: dict[tuple, ComposedWorkload] = {}
@@ -255,8 +281,7 @@ def sweep_parameter(
         from ..parallel.runner import ProcessPoolRunner
         from ..parallel.tasks import run_sweep
 
-        merged = run_sweep(parameter, values, scale, ProcessPoolRunner(max_workers=workers))
-        return list(merged.values)
+        return run_sweep(parameter, values, scale, ProcessPoolRunner(max_workers=workers))
     rows: list[GroupingRow] = []
     for value in values:
         config = scale.config(**{parameter: value})

@@ -8,22 +8,18 @@ Subcommands:
   query router; print SLA outcomes and scaling actions.
 * ``sweep``   — run a Table 7.1-style parameter sweep (one of epoch_size_s,
   num_tenants, theta, replication_factor, sla_percent) and print the
-  three-panel rows of the §7.3 figures.
+  three-panel rows of the §7.3 figures; every other parameter stays at
+  its default, and ``--workers N`` spreads the points over N processes.
 * ``loadtimes`` — print the Table 5.1 startup/bulk-load model.
 * ``obs``     — digest a run-report directory written by
   ``replay --obs-out`` (headline counters, busiest groups, RT-TTP
   trajectory, routing decisions, scaling actions).
-* ``bench``   — run registered performance scenarios (headline / fig7 /
-  replay) at a named scale, write ``BENCH_<scenario>.json`` records, and
-  gate them against ``benchmarks/baseline/`` (non-zero exit on
-  regression).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis.report import ascii_series, format_table
@@ -32,16 +28,6 @@ from .analysis.sweeps import (
     BenchScale,
     build_workload,
     sweep_parameter,
-)
-from .bench import (
-    BENCH_SCALES,
-    DEFAULT_REGRESSION_THRESHOLD,
-    compare_records,
-    default_baseline_dir,
-    run_scenarios,
-    scenario_names,
-    update_baselines,
-    write_records,
 )
 from .config import EvaluationConfig
 from .core.service import ThriftyService
@@ -65,19 +51,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tenants", type=int, default=300, help="number of tenants T")
         p.add_argument("--days", type=int, default=7, help="log horizon in days")
         p.add_argument("--sessions", type=int, default=8, help="library sessions per node size")
+        p.add_argument("--seed", type=int, default=20130625, help="master random seed")
+
+    def add_config_args(p: argparse.ArgumentParser) -> None:
+        add_scale_args(p)
         p.add_argument("--theta", type=float, default=0.8, help="tenant-size Zipf skew")
         p.add_argument("--replication", type=int, default=3, help="replication factor R")
         p.add_argument("--sla", type=float, default=99.9, help="performance SLA P%%")
         p.add_argument("--epoch", type=float, default=1.0, help="epoch size E in seconds")
-        p.add_argument("--seed", type=int, default=20130625, help="master random seed")
 
     plan = sub.add_parser("plan", help="compute a deployment plan")
-    add_scale_args(plan)
+    add_config_args(plan)
     plan.add_argument("--grouping", choices=("two-step", "ffd"), default="two-step")
     plan.add_argument("--groups", action="store_true", help="print per-group detail")
 
     replay = sub.add_parser("replay", help="plan, deploy and replay the logs")
-    add_scale_args(replay)
+    add_config_args(replay)
     replay.add_argument("--grouping", choices=("two-step", "ffd"), default="two-step")
     replay.add_argument(
         "--scaling",
@@ -114,59 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("loadtimes", help="print the Table 5.1 load-time model")
-
-    bench = sub.add_parser(
-        "bench", help="run performance scenarios and gate against baselines"
-    )
-    bench.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        metavar="NAME",
-        default=None,
-        help="scenario to run (repeatable; default: all registered)",
-    )
-    bench.add_argument(
-        "--scale",
-        choices=sorted(BENCH_SCALES),
-        default="ci",
-        help="bench scale (default: ci)",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="parallel fabric worker count (0 = in-process serial)",
-    )
-    bench.add_argument(
-        "--out",
-        metavar="DIR",
-        default=".",
-        help="directory for BENCH_<scenario>.json records (default: .)",
-    )
-    bench.add_argument(
-        "--baseline",
-        metavar="DIR",
-        default=None,
-        help="baseline directory (default: the repo's benchmarks/baseline)",
-    )
-    bench.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="run each scenario N times and record the fastest (default: 1)",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_REGRESSION_THRESHOLD,
-        help="regression threshold as a fraction (default: 0.15)",
-    )
-    bench.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the committed baselines from this run instead of gating",
-    )
 
     obs = sub.add_parser("obs", help="summarize a replay --obs-out run report")
     obs.add_argument("directory", help="directory written by replay --obs-out")
@@ -448,57 +384,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    names = args.scenarios if args.scenarios else scenario_names()
-    records = run_scenarios(names, args.scale, args.workers, repeat=args.repeat)
-    paths = write_records(records, Path(args.out))
-    print(
-        format_table(
-            ["scenario", "wall_s", "epochs/s", "solver_s", "obs_ovh", "workers", "sha"],
-            [
-                [
-                    r.scenario,
-                    f"{r.wall_s:.2f}",
-                    f"{r.metrics.get('epochs_per_s', 0.0):.1f}",
-                    f"{r.metrics.get('solver_s', 0.0):.3f}",
-                    (
-                        f"{r.metrics['obs_overhead']:.1%}"
-                        if "obs_overhead" in r.metrics
-                        else "-"
-                    ),
-                    r.workers,
-                    r.git_sha,
-                ]
-                for r in records
-            ],
-            title=f"thrifty bench (scale={args.scale})",
-        )
-    )
-    for path in paths:
-        print(f"  wrote {path}")
-    baseline_dir = Path(args.baseline) if args.baseline else default_baseline_dir()
-    if args.update_baseline:
-        for path in update_baselines(records, baseline_dir):
-            print(f"  baseline updated: {path}")
-        return 0
-    regressions, warnings = compare_records(records, baseline_dir, args.threshold)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if regressions:
-        for finding in regressions:
-            print(f"REGRESSION: {finding.message()}", file=sys.stderr)
-        return 1
-    print(f"bench gate passed ({len(records)} scenario(s), threshold {args.threshold:.0%})")
-    return 0
-
-
 _COMMANDS = {
     "plan": _cmd_plan,
     "replay": _cmd_replay,
     "sweep": _cmd_sweep,
     "loadtimes": _cmd_loadtimes,
     "obs": _cmd_obs,
-    "bench": _cmd_bench,
 }
 
 

@@ -30,8 +30,6 @@ __all__ = [
     "FailoverDeadlineError",
     "ParallelError",
     "ShardFailedError",
-    "BenchError",
-    "BenchRegressionError",
     "LintError",
     "AnalysisError",
     "ObservabilityError",
@@ -137,14 +135,6 @@ class ShardFailedError(ParallelError):
         super().__init__(message)
         self.spec = spec
         self.attempts = attempts
-
-
-class BenchError(ReproError):
-    """The :mod:`repro.bench` benchmark harness was misused."""
-
-
-class BenchRegressionError(BenchError):
-    """A benchmark scenario regressed beyond the configured threshold."""
 
 
 class LintError(ReproError):

@@ -50,16 +50,13 @@ Implementation notes (DESIGN.md §5):
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..obs.profiling import profiled
 from ..workload.activity import ActivityItem, concurrency_counts
 from .livbp import TTP_TOL, GroupingSolution, LIVBPwFCProblem
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime is lazy)
-    from ..parallel.runner import ProcessPoolRunner
 
 __all__ = ["two_step_grouping", "initial_groups", "pack_initial_group"]
 
@@ -111,15 +108,11 @@ def pack_initial_group(
     replication_factor: int,
     sla_fraction: float,
 ) -> list[list[int]]:
-    """Step 2 for one homogeneous initial group (a shardable work unit).
+    """Step 2 for one homogeneous initial group.
 
     Initial groups are independent of each other — Step 2 never moves a
-    tenant across node-size classes — so the parallel fabric runs one
-    shard per initial group and concatenates the results in size order
-    (:mod:`repro.parallel.tasks` registers this as the
-    ``pack_initial_group`` task).  Takes scalar problem parameters rather
-    than the whole :class:`LIVBPwFCProblem` so a shard ships only its own
-    items across the process boundary.
+    tenant across node-size classes — so :func:`two_step_grouping` packs
+    them one at a time and concatenates the results in size order.
     """
     d = num_epochs
     r = replication_factor
@@ -202,31 +195,9 @@ def _insert(
 
 
 @profiled("packing.two_step_grouping")
-def two_step_grouping(
-    problem: LIVBPwFCProblem, runner: "Optional[ProcessPoolRunner]" = None
-) -> GroupingSolution:
-    """Run Algorithm 2 on a LIVBPwFC instance.
-
-    With a :class:`~repro.parallel.runner.ProcessPoolRunner`, each initial
-    group (node-size class) packs in its own shard; the grouping produced
-    is identical to the serial run because initial groups are independent
-    and the merger concatenates them in ascending size order.  In that
-    mode ``solve_seconds`` is the *sum of per-shard packing time* measured
-    inside each shard with ``perf_counter`` — comparable to the serial
-    number, free of pool-scheduling noise.
-    """
+def two_step_grouping(problem: LIVBPwFCProblem) -> GroupingSolution:
+    """Run Algorithm 2 on a LIVBPwFC instance."""
     by_size = initial_groups(problem.items)
-    if runner is not None and len(by_size) > 1:
-        from ..parallel.merge import ResultMerger
-        from ..parallel.tasks import pack_shards
-
-        merged = ResultMerger().merge(runner.run(pack_shards(problem)))
-        return GroupingSolution(
-            problem,
-            merged.flat(),
-            solver="2-step",
-            solve_seconds=merged.timings.get("pack_s", 0.0),
-        )
     started = time.perf_counter()
     all_groups: list[list[int]] = []
     for nodes in sorted(by_size):

@@ -16,23 +16,21 @@ The moving parts, in pipeline order:
   semantics — with per-shard timeout/retry from a
   :class:`~repro.core.fault.RetryPolicy` and a typed
   :class:`~repro.errors.ShardFailedError` carrying the spec on
-  exhaustion;
-* :class:`ResultMerger` reorders out-of-order completions by
-  ``shard_id`` and recombines values, per-shard ``perf_counter``
-  timings, and per-shard :class:`~repro.obs.MemorySink` observability
-  output into one :class:`MergedResult`.
+  exhaustion, and returns one :class:`ShardResult` per spec, in spec
+  order.
 
 Because every shard derives its RNG streams as
-``derive_seed(master_seed, "shard", shard_id)`` and the merge order is
-canonical, results are bit-identical at any worker count.  See
-``docs/PARALLELISM.md`` for the architecture and the recipe for sharding
-a new workload; :mod:`repro.parallel.tasks` holds the built-in tasks
-(sweep points, Algorithm 2 initial groups, replay replicas).
+``derive_seed(master_seed, "shard", shard_id)`` and results come back in
+spec order, they are bit-identical at any worker count.  The one
+production caller is ``thrifty sweep --workers N``
+(:func:`~repro.analysis.sweeps.sweep_parameter` → :func:`run_sweep`).
+See ``docs/PARALLELISM.md`` for the architecture;
+:mod:`repro.parallel.tasks` holds the built-in tasks (sweep points and
+the ``probe`` self-test).
 """
 
 from __future__ import annotations
 
-from .merge import MergedResult, ResultMerger
 from .runner import DEFAULT_SHARD_RETRY_POLICY, ProcessPoolRunner
 from .shards import (
     ShardContext,
@@ -44,7 +42,7 @@ from .shards import (
     shard_task,
     task_ref,
 )
-from .tasks import pack_shards, replay_shards, run_replicas, run_sweep, sweep_shards
+from .tasks import run_sweep, sweep_shards
 
 __all__ = [
     "ShardSpec",
@@ -57,11 +55,6 @@ __all__ = [
     "execute_shard",
     "ProcessPoolRunner",
     "DEFAULT_SHARD_RETRY_POLICY",
-    "ResultMerger",
-    "MergedResult",
     "sweep_shards",
     "run_sweep",
-    "pack_shards",
-    "replay_shards",
-    "run_replicas",
 ]

@@ -6,9 +6,9 @@ forbids raw ``multiprocessing`` / ``concurrent.futures`` use anywhere else
 in ``src/repro``).  Three properties make it safe to drop into the
 deterministic stack:
 
-* **Spawn-safe.**  Workers are started with the ``spawn`` method by
-  default — a fresh interpreter that re-imports the task's module — so
-  nothing depends on forked globals, open sinks, or inherited RNG state.
+* **Spawn-safe.**  Workers are always started with the ``spawn`` method
+  — a fresh interpreter that re-imports the task's module — so nothing
+  depends on forked globals, open sinks, or inherited RNG state.
 * **Worker-count independent.**  Every shard derives its RNG from the
   spec alone and results are keyed by ``shard_id``, so ``workers=8``
   produces bit-identical values to ``workers=2`` or the in-process
@@ -44,8 +44,8 @@ __all__ = ["ProcessPoolRunner", "DEFAULT_SHARD_RETRY_POLICY"]
 #: delay knobs exist for callers whose shards contend on real resources).
 DEFAULT_SHARD_RETRY_POLICY = RetryPolicy(max_attempts=2, base_delay_s=0.0, max_delay_s=0.0)
 
-#: Worker start methods the runner accepts.
-_START_METHODS = ("spawn", "forkserver", "fork")
+#: Worker start method: a fresh interpreter per worker (see module docstring).
+_START_METHOD = "spawn"
 
 
 def _failure_message(spec: ShardSpec, attempts: int, exc: BaseException) -> str:
@@ -63,20 +63,14 @@ class ProcessPoolRunner:
         max_workers: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
         timeout_s: Optional[float] = None,
-        start_method: str = "spawn",
     ) -> None:
         if max_workers < 0:
             raise ParallelError(f"max_workers must be >= 0, got {max_workers!r}")
         if timeout_s is not None and timeout_s <= 0:
             raise ParallelError(f"timeout_s must be positive, got {timeout_s!r}")
-        if start_method not in _START_METHODS:
-            raise ParallelError(
-                f"start_method must be one of {_START_METHODS}, got {start_method!r}"
-            )
         self.max_workers = max_workers
         self.retry_policy = retry_policy if retry_policy is not None else DEFAULT_SHARD_RETRY_POLICY
         self.timeout_s = timeout_s
-        self.start_method = start_method
 
     def run(self, specs: Sequence[ShardSpec]) -> List[ShardResult]:
         """Execute every shard, returning results in the order given.
@@ -127,7 +121,7 @@ class ProcessPoolRunner:
         self, specs: Sequence[ShardSpec], results: Dict[int, ShardResult]
     ) -> List[ShardSpec]:
         """One pool generation: submit every spec, harvest, return retries."""
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context(_START_METHOD)
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=min(self.max_workers, len(specs)), mp_context=context
         )

@@ -14,22 +14,18 @@ Determinism contract
 Every shard derives its randomness as
 ``derive_seed(master_seed, "shard", shard_id)`` — a pure function of the
 spec, never of the worker that happens to execute it.  Together with the
-ordered :class:`~repro.parallel.merge.ResultMerger`, this makes a run
-bit-identical at any worker count: same shards, same streams, same merge
-order.  Wall-clock *timings* are measurements, not simulation outputs,
-and are explicitly outside the contract (see ``docs/PARALLELISM.md``).
+runner returning results in spec order, this makes a run bit-identical at
+any worker count: same shards, same streams, same order (see
+``docs/PARALLELISM.md``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import importlib
-import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..errors import ParallelError
-from ..obs.sink import MemorySink, MetricSample, ObsEvent, SpanRecord
 from ..rng import RngFactory, derive_seed
 
 __all__ = [
@@ -83,53 +79,27 @@ class ShardSpec:
         return replace(self, attempt=self.attempt + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShardContext:
     """Everything a shard task receives besides its payload.
 
-    * ``rng`` — an independent :class:`~repro.rng.RngFactory` rooted at the
-      shard's derived seed; streams are identical no matter which worker
-      (or how many workers) execute the shard.
-    * ``sink`` — a shard-local :class:`~repro.obs.MemorySink`; whatever the
-      task emits rides back in the :class:`ShardResult` and is recombined
-      in shard order by the merger.
-    * ``timings`` — named wall-clock durations measured *inside* the shard
-      with :func:`time.perf_counter`; the merger sums them per name, so
-      aggregate solver time never includes pool scheduling noise.
+    ``rng`` is an independent :class:`~repro.rng.RngFactory` rooted at the
+    shard's derived seed; its streams are identical no matter which worker
+    (or how many workers) execute the shard.
     """
 
     spec: ShardSpec
     rng: RngFactory
-    sink: MemorySink = field(default_factory=MemorySink)
-    timings: Dict[str, float] = field(default_factory=dict)
-
-    def add_timing(self, name: str, seconds: float) -> None:
-        """Accumulate a pre-measured duration under ``name``."""
-        self.timings[name] = self.timings.get(name, 0.0) + float(seconds)
-
-    @contextlib.contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Measure the enclosed block with ``perf_counter`` into ``name``."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_timing(name, time.perf_counter() - started)
 
 
 @dataclass(frozen=True)
 class ShardResult:
-    """What a shard sends back: the task's value plus its side channels."""
+    """What a shard sends back: the task's value and the attempt that made it."""
 
     shard_id: int
     task: str
     value: Any
     attempt: int = 0
-    elapsed_s: float = 0.0
-    timings: Tuple[Tuple[str, float], ...] = ()
-    metrics: Tuple[MetricSample, ...] = ()
-    spans: Tuple[SpanRecord, ...] = ()
-    events: Tuple[ObsEvent, ...] = ()
 
 
 #: Registered shard tasks, keyed by their ``"module:name"`` reference.
@@ -198,21 +168,8 @@ def execute_shard(spec: ShardSpec) -> ShardResult:
     ``workers=0`` fallback calls it in-process for identical semantics.
     """
     fn = resolve_task(spec.task)
-    ctx = ShardContext(spec=spec, rng=RngFactory(spec.seed))
-    started = time.perf_counter()
-    value = fn(ctx, *spec.payload)
-    elapsed = time.perf_counter() - started
-    return ShardResult(
-        shard_id=spec.shard_id,
-        task=spec.task,
-        value=value,
-        attempt=spec.attempt,
-        elapsed_s=elapsed,
-        timings=tuple(sorted(ctx.timings.items())),
-        metrics=tuple(ctx.sink.metrics),
-        spans=tuple(ctx.sink.spans),
-        events=tuple(ctx.sink.events),
-    )
+    value = fn(ShardContext(spec=spec, rng=RngFactory(spec.seed)), *spec.payload)
+    return ShardResult(shard_id=spec.shard_id, task=spec.task, value=value, attempt=spec.attempt)
 
 
 @dataclass(frozen=True)
@@ -220,9 +177,8 @@ class ShardPlanner:
     """Splits embarrassingly-parallel work into :class:`ShardSpec` lists.
 
     The planner is deliberately dumb: one payload, one shard.  Whoever
-    builds the payload list controls granularity (sweep points, initial
-    groups, Monte-Carlo replicas); helpers for the standard Thrifty
-    workloads live in :mod:`repro.parallel.tasks`.
+    builds the payload list controls granularity; the sweep helpers live
+    in :mod:`repro.parallel.tasks`.
     """
 
     master_seed: int
@@ -245,9 +201,3 @@ class ShardPlanner:
             )
             for index, payload in enumerate(payloads)
         ]
-
-    def replica_seeds(self, replicas: int, label: str = "replica") -> List[int]:
-        """Independent per-replica master seeds for Monte-Carlo sharding."""
-        if replicas < 1:
-            raise ParallelError(f"replicas must be >= 1, got {replicas!r}")
-        return [derive_seed(self.master_seed, label, i) for i in range(replicas)]

@@ -1,20 +1,12 @@
-"""Built-in shard tasks for the standard Thrifty workloads.
+"""Built-in shard tasks.
 
 Each task is a module-level function registered with
 :func:`~repro.parallel.shards.shard_task`, so a spawned worker resolves it
-by importing this module.  The helpers next to each task build the
-matching :class:`~repro.parallel.shards.ShardSpec` lists:
+by importing this module:
 
 * ``sweep_point`` / :func:`sweep_shards` / :func:`run_sweep` — one shard
   per §7.3 sweep point (the parameter sweeps in
   :mod:`repro.analysis.sweeps`).
-* ``pack_initial_group`` / :func:`pack_shards` — one shard per
-  homogeneous initial group of Algorithm 2 (solver sharding for
-  :func:`repro.packing.two_step.two_step_grouping`).
-* ``replay_replica`` / :func:`replay_shards` — one shard per independent
-  epoch-simulation replica (Monte-Carlo over derived seeds, optionally
-  chaos-armed); per-shard :class:`~repro.obs.MemorySink` output rides
-  back to the merger.
 * ``probe`` — a tiny self-test task (sleep / deterministic failure /
   payload echo) used to verify a fabric installation and by the
   fault-path tests.
@@ -27,29 +19,14 @@ rather than shipped across the process boundary.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..analysis.sweeps import BenchScale, GroupingRow, build_workload, run_grouping_experiment
-from ..core.service import ThriftyService
 from ..errors import ParallelError
-from ..obs import MemorySink, Observer
-from ..obs.sink import MetricSample
-from ..packing.livbp import LIVBPwFCProblem
-from ..packing.two_step import initial_groups, pack_initial_group
-from ..units import DAY
-from ..workload.activity import ActivityItem
-from .merge import MergedResult, ResultMerger
 from .runner import ProcessPoolRunner
 from .shards import ShardContext, ShardPlanner, ShardSpec, shard_task
 
-__all__ = [
-    "sweep_shards",
-    "run_sweep",
-    "pack_shards",
-    "replay_shards",
-    "run_replicas",
-]
+__all__ = ["sweep_shards", "run_sweep"]
 
 
 # -- §7.3 sweep points -----------------------------------------------------
@@ -59,16 +36,13 @@ __all__ = [
 def _sweep_point(ctx: ShardContext, parameter: str, value: object, scale: BenchScale) -> GroupingRow:
     """One sweep point: build the workload, solve with both heuristics.
 
-    Emits one deterministic gauge sample per solver into the shard sink
-    (timestamped by shard ordinal — sweeps have no simulation clock), so
-    the merged sink carries a worker-count-independent metrics record of
-    the whole sweep.  Solver/workload seconds land in ``ctx.timings`` for
-    per-shard aggregation by the merger.
+    Solver seconds are measured inside the worker by
+    :func:`~repro.analysis.sweeps.run_grouping_experiment`, so the row's
+    timing panels exclude pool scheduling.
     """
     config = scale.config(**{parameter: value})
-    with ctx.timer("workload_s"):
-        workload = build_workload(config, scale.sessions_per_size)
-    row = run_grouping_experiment(
+    workload = build_workload(config, scale.sessions_per_size)
+    return run_grouping_experiment(
         workload,
         epoch_size=config.epoch_size_s,
         replication_factor=config.replication_factor,
@@ -76,27 +50,6 @@ def _sweep_point(ctx: ShardContext, parameter: str, value: object, scale: BenchS
         parameter=parameter,
         value=value,
     )
-    ctx.add_timing("two_step_s", row.two_step_seconds)
-    ctx.add_timing("ffd_s", row.ffd_seconds)
-    ordinal = float(ctx.spec.shard_id)
-    for solver, effectiveness in (
-        ("2-step", row.two_step_effectiveness),
-        ("ffd", row.ffd_effectiveness),
-    ):
-        ctx.sink.on_metric(
-            MetricSample(
-                time=ordinal,
-                name="sweep_effectiveness",
-                kind="gauge",
-                value=effectiveness,
-                labels=(
-                    ("parameter", parameter),
-                    ("value", str(value)),
-                    ("solver", solver),
-                ),
-            )
-        )
-    return row
 
 
 def sweep_shards(
@@ -111,133 +64,10 @@ def run_sweep(
     parameter: str,
     values: Sequence[object],
     scale: BenchScale,
-    runner: Optional[ProcessPoolRunner] = None,
-) -> MergedResult:
-    """Run a sweep through the fabric and merge (rows in value order)."""
-    active = runner if runner is not None else ProcessPoolRunner(max_workers=0)
-    return ResultMerger().merge(active.run(sweep_shards(parameter, values, scale)))
-
-
-# -- Algorithm 2 initial-group packing ------------------------------------
-
-
-@shard_task("pack_initial_group")
-def _pack_initial_group(
-    ctx: ShardContext,
-    nodes_requested: int,
-    items: Tuple[ActivityItem, ...],
-    num_epochs: int,
-    replication_factor: int,
-    sla_fraction: float,
-) -> List[List[int]]:
-    """Step 2 of Algorithm 2 for one homogeneous node-size class."""
-    with ctx.timer("pack_s"):
-        groups = pack_initial_group(items, num_epochs, replication_factor, sla_fraction)
-    ctx.sink.on_metric(
-        MetricSample(
-            time=float(ctx.spec.shard_id),
-            name="pack_groups",
-            kind="gauge",
-            value=float(len(groups)),
-            labels=(("nodes_requested", str(nodes_requested)),),
-        )
-    )
-    return groups
-
-
-def pack_shards(problem: LIVBPwFCProblem) -> List[ShardSpec]:
-    """One shard per initial group, in ascending node-size order.
-
-    Concatenating the merged shard values (``MergedResult.flat()``)
-    reproduces the serial :func:`~repro.packing.two_step.two_step_grouping`
-    result exactly, because Step 2 never moves tenants between classes.
-    """
-    by_size = initial_groups(problem.items)
-    # Packing is deterministic and draws no randomness; the seed is moot.
-    planner = ShardPlanner(master_seed=0)
-    payloads = [
-        (
-            nodes,
-            tuple(by_size[nodes]),
-            problem.num_epochs,
-            problem.replication_factor,
-            problem.sla_fraction,
-        )
-        for nodes in sorted(by_size)
-    ]
-    return planner.plan(_pack_initial_group, payloads)
-
-
-# -- epoch-simulation replicas (Monte-Carlo / chaos) -----------------------
-
-
-@shard_task("replay_replica")
-def _replay_replica(
-    ctx: ShardContext,
-    scale: BenchScale,
-    replay_days: float,
-    grouping: str,
-    scaling: str,
-    chaos_mtbf: Optional[float],
-    observe: bool,
-) -> Dict[str, float]:
-    """One full epoch-simulation replica: deploy, (optionally) arm chaos, replay.
-
-    The replica's workload and chaos schedule derive entirely from
-    ``scale.seed`` — :func:`replay_shards` rewrites it per shard — so the
-    shard is reproducible anywhere.  With ``observe=True`` the service is
-    instrumented into the shard sink and the merged run carries every
-    replica's metrics/spans in shard order.
-    """
-    config = scale.config()
-    workload = build_workload(config, scale.sessions_per_size)
-    observer = Observer(ctx.sink) if observe else None
-    service = ThriftyService(config, grouping=grouping, scaling=scaling, observer=observer)
-    service.deploy(workload)
-    until = replay_days * DAY
-    armed = 0
-    if chaos_mtbf is not None:
-        armed = service.arm_chaos(chaos_mtbf, horizon=until)
-    with ctx.timer("replay_s"):
-        report = service.replay(until=until)
-    summary = report.summary()
-    summary["sim_epochs"] = until / config.epoch_size_s
-    summary["seed"] = float(scale.seed)
-    summary["chaos_armed"] = float(armed)
-    chaos = service.chaos
-    summary["node_failures"] = float(len(chaos.failures)) if chaos is not None else 0.0
-    return summary
-
-
-def replay_shards(
-    scale: BenchScale,
-    replicas: int,
-    replay_days: float = 1.0,
-    grouping: str = "two-step",
-    scaling: str = "lightweight",
-    chaos_mtbf: Optional[float] = None,
-    observe: bool = False,
-) -> List[ShardSpec]:
-    """One shard per Monte-Carlo replica, each with a derived master seed."""
-    if replicas < 1:
-        raise ParallelError(f"replicas must be >= 1, got {replicas!r}")
-    planner = ShardPlanner(master_seed=scale.seed)
-    payloads = [
-        (replace(scale, seed=seed), replay_days, grouping, scaling, chaos_mtbf, observe)
-        for seed in planner.replica_seeds(replicas)
-    ]
-    return planner.plan(_replay_replica, payloads)
-
-
-def run_replicas(
-    scale: BenchScale,
-    replicas: int,
-    runner: Optional[ProcessPoolRunner] = None,
-    **options: Any,
-) -> MergedResult:
-    """Run replay replicas through the fabric and merge their summaries."""
-    active = runner if runner is not None else ProcessPoolRunner(max_workers=0)
-    return ResultMerger().merge(active.run(replay_shards(scale, replicas, **options)))
+    runner: ProcessPoolRunner,
+) -> List[GroupingRow]:
+    """Run a sweep through the fabric; rows come back in value order."""
+    return [result.value for result in runner.run(sweep_shards(parameter, values, scale))]
 
 
 # -- fabric self-test ------------------------------------------------------

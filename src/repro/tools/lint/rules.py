@@ -269,7 +269,7 @@ class PublicAnnotationRule(Rule):
     code = "THR006"
     summary = "public functions in core/, packing/, simulation/, obs/ have complete type annotations"
 
-    _LAYERS = ("core", "packing", "simulation", "obs", "parallel", "bench")
+    _LAYERS = ("core", "packing", "simulation", "obs", "parallel")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if not ctx.in_layer(*self._LAYERS):

@@ -3,14 +3,16 @@
 import pytest
 
 from repro.analysis.sweeps import (
+    BENCH_SCALES,
     GROUPING_HEADERS,
     SMOKE_SCALE,
     BenchScale,
     build_workload,
+    resolve_scale,
     run_grouping_experiment,
     sweep_parameter,
 )
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 
 
 class TestBenchScale:
@@ -24,6 +26,26 @@ class TestBenchScale:
         config = SMOKE_SCALE.config(replication_factor=2, sla_percent=99.0)
         assert config.replication_factor == 2
         assert config.sla_percent == 99.0
+
+
+class TestBenchScales:
+    def test_standard_scales_registered(self):
+        assert {"smoke", "default", "large"} <= set(BENCH_SCALES)
+        assert resolve_scale("smoke") is SMOKE_SCALE
+        assert resolve_scale("smoke").num_tenants <= resolve_scale("default").num_tenants
+        assert resolve_scale("default").num_tenants <= resolve_scale("large").num_tenants
+
+    def test_unknown_scale_raises(self):
+        with pytest.raises(ConfigurationError):
+            resolve_scale("galactic")
+
+    def test_unknown_scale_error_names_the_options(self):
+        with pytest.raises(ReproError) as info:
+            resolve_scale("galactic")
+        message = str(info.value)
+        assert "galactic" in message
+        for name in BENCH_SCALES:
+            assert name in message
 
 
 class TestBuildWorkload:

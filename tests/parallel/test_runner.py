@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.fault import RetryPolicy
 from repro.errors import ParallelError, ShardFailedError
-from repro.parallel import ProcessPoolRunner, ResultMerger, ShardPlanner
+from repro.parallel import ProcessPoolRunner, ShardPlanner
 from repro.parallel.tasks import _probe
 
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay_s=0.0, max_delay_s=0.0)
@@ -34,10 +34,6 @@ class TestValidation:
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ParallelError):
             ProcessPoolRunner(timeout_s=0.0)
-
-    def test_rejects_unknown_start_method(self):
-        with pytest.raises(ParallelError):
-            ProcessPoolRunner(start_method="threads")
 
     def test_rejects_duplicate_shard_ids(self):
         specs = probe_shards(2)
@@ -142,65 +138,3 @@ class TestTimeout:
         runner = ProcessPoolRunner(max_workers=2, retry_policy=ONE_SHOT, timeout_s=60.0)
         results = runner.run(probe_shards(2))
         assert len(results) == 2
-
-
-class TestChaosReplicas:
-    """Satellite: chaos-armed parallel replay keeps the fault invariants."""
-
-    @pytest.fixture(scope="class")
-    def chaos_runs(self):
-        from repro.analysis.sweeps import BenchScale
-        from repro.parallel import run_replicas
-
-        scale = BenchScale(
-            num_tenants=30, horizon_days=7, holiday_weekdays=0, sessions_per_size=4, seed=11
-        )
-        options = dict(replay_days=0.25, chaos_mtbf=3600.0, observe=True)
-        return {
-            workers: run_replicas(
-                scale, 2, runner=ProcessPoolRunner(max_workers=workers), **options
-            )
-            for workers in (0, 2)
-        }
-
-    def test_serial_and_parallel_replicas_agree(self, chaos_runs):
-        assert chaos_runs[0].values == chaos_runs[2].values
-
-    def test_fault_invariants_hold(self, chaos_runs):
-        for summary in chaos_runs[0].values:
-            assert summary["chaos_armed"] >= 1.0
-            assert summary["node_failures"] >= 1.0
-            assert summary["queries_failed"] >= 0.0
-            assert 0.0 <= summary["sla_fraction_met"] <= 1.0
-            # Failovers only happen in response to failures.
-            if summary["failovers"]:
-                assert summary["node_failures"] >= 1.0
-
-    def test_replicas_diverge_from_each_other(self, chaos_runs):
-        first, second = chaos_runs[0].values
-        assert first["seed"] != second["seed"]
-
-    def test_observability_rides_back_per_replica(self, chaos_runs):
-        merged = chaos_runs[2]
-        assert merged.shard_count == 2
-        assert len(merged.sink.metrics) > 0
-        assert merged.timings["replay_s"] > 0.0
-
-
-def test_merged_sweep_timings_are_per_shard_sums():
-    """Satellite: solver time aggregates per-shard perf_counter, not pool wall."""
-    from repro.analysis.sweeps import BenchScale
-    from repro.parallel import run_sweep
-
-    scale = BenchScale(
-        num_tenants=40, horizon_days=7, holiday_weekdays=0, sessions_per_size=4, seed=7
-    )
-    merged = run_sweep("epoch_size_s", [30.0, 300.0], scale)
-    assert set(merged.timings) >= {"two_step_s", "ffd_s", "workload_s"}
-    rows = list(merged.values)
-    expected_two_step = sum(r.two_step_seconds for r in rows)
-    assert merged.timings["two_step_s"] == pytest.approx(expected_two_step)
-    # Pool wall clock (elapsed_s) includes workload build + both solvers,
-    # so it must dominate the solver-only aggregate.
-    assert merged.elapsed_s >= merged.timings["two_step_s"]
-    assert ResultMerger().merge([]).shard_count == 0

@@ -83,20 +83,13 @@ class TestShardPlanner:
         with pytest.raises(ParallelError):
             ShardPlanner(master_seed=1).plan(lambda ctx: None, [()])
 
-    def test_replica_seeds_are_distinct_and_stable(self):
-        planner = ShardPlanner(master_seed=5)
-        seeds = planner.replica_seeds(6)
-        assert len(set(seeds)) == 6
-        assert seeds == ShardPlanner(master_seed=5).replica_seeds(6)
-        assert seeds != ShardPlanner(master_seed=6).replica_seeds(6)
-
 
 class TestExecuteShard:
-    def test_returns_result_with_payload_and_timing(self):
+    def test_returns_result_with_payload(self):
         result = execute_shard(probe_spec(payload=(0.0, 0, "hello")))
         assert result.shard_id == 0
         assert result.value["payload"] == "hello"
-        assert result.elapsed_s >= 0.0
+        assert result.attempt == 0
 
     def test_rng_draw_depends_only_on_spec_seed(self):
         a = execute_shard(probe_spec(shard_id=1, num_shards=3))

@@ -70,6 +70,30 @@ class TestCommands:
         assert "Sweep over replication_factor" in out
         assert "2step_eff" in out
 
+    @pytest.mark.parametrize(
+        "option", [("--sla", "50"), ("--theta", "2.0"), ("--replication", "2"), ("--epoch", "600")]
+    )
+    def test_sweep_with_config_option_is_usage_error(self, capsys, option):
+        # A sweep varies one parameter and keeps every other one at the
+        # scale's default, so plan/replay's config options are not offered.
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "theta", "0.5", *option, *self._FAST])
+        assert err.value.code == 2
+        assert option[0] in capsys.readouterr().err
+
+    def test_sweep_pool_rows_match_serial(self, capsys):
+        def deterministic_rows(workers):
+            argv = ["sweep", "epoch_size_s", "60", "600", *self._FAST, "--workers", workers]
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            body = lines[lines.index(next(l for l in lines if l.startswith("---"))) + 1 :]
+            # Every column but the trailing two solver-time columns.
+            return [line.split()[:7] for line in body if line.strip()]
+
+        serial = deterministic_rows("0")
+        assert [row[0] for row in serial] == ["60", "600"]
+        assert deterministic_rows("2") == serial
+
     def test_replay(self, capsys):
         assert main(["replay", "--replay-days", "0.5", *self._FAST]) == 0
         out = capsys.readouterr().out
