@@ -91,6 +91,25 @@ def _replay_seconds(config, workload, observer):
     return time.perf_counter() - t0
 
 
+class _GuardCountingSink(MemorySink):
+    """A ``MemorySink`` that tallies every read of ``enabled``.
+
+    Every instrumentation guard reads ``enabled``, so the tally counts the
+    guards a null-sink replay evaluates plus the ones only an enabled
+    replay reaches (inside the instruments and the tracer): an over-count,
+    the safe direction for the gate.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.guard_reads = 0
+
+    @property
+    def enabled(self) -> bool:
+        self.guard_reads += 1
+        return True
+
+
 def _guard_seconds():
     """Per-evaluation cost of the ``observer.enabled`` site guard.
 
@@ -116,9 +135,12 @@ def test_headline_obs_overhead(benchmark, obs_mode):
     with a fully enabled MemorySink observer, then bounds the null-sink
     cost *quantitatively*: (guard evaluations the scenario performs) x
     (measured per-guard cost) must stay under 5 % of the replay's wall
-    time.  The count of guard evaluations is taken from the enabled run's
-    sink — every emission is one guard that evaluated true — doubled for
-    safety (sites that guard without emitting).
+    time.  The guard evaluations are counted directly, by a sink that
+    tallies every read of ``enabled`` in an untimed enabled replay (see
+    ``_GuardCountingSink``).  Emissions are no proxy for them: counters
+    and histograms aggregate in place and reach the sink only as
+    snapshots.  The enabled-observer wall overhead is printed as a
+    report, not gated.
     """
     if not obs_mode:
         pytest.skip("observability overhead mode: pass --obs or set REPRO_BENCH_OBS=1")
@@ -131,20 +153,21 @@ def test_headline_obs_overhead(benchmark, obs_mode):
 
     def experiment():
         null_times, enabled_times = [], []
-        emissions = 0
         _replay_seconds(config, workload, observer=None)  # warm-up, untimed
+        counting = _GuardCountingSink()
+        _replay_seconds(config, workload, observer=Observer(counting))  # untimed
         for _ in range(_OBS_REPS):
             null_times.append(_replay_seconds(config, workload, observer=None))
             obs = Observer(MemorySink())
             enabled_times.append(_replay_seconds(config, workload, observer=obs))
             sink = obs.memory_sink()
             emissions = len(sink.metrics) + len(sink.spans) + len(sink.events)
-        return null_times, enabled_times, emissions, _guard_seconds()
+        return null_times, enabled_times, counting.guard_reads, emissions, _guard_seconds()
 
-    null_times, enabled_times, emissions, per_guard = run_once(benchmark, experiment)
+    null_times, enabled_times, guards, emissions, per_guard = run_once(benchmark, experiment)
     median = statistics.median
     t_null, t_enabled = median(null_times), median(enabled_times)
-    guard_cost = 2 * emissions * per_guard
+    guard_cost = guards * per_guard
     guard_fraction = guard_cost / t_null
     print()
     print(
@@ -158,7 +181,7 @@ def test_headline_obs_overhead(benchmark, obs_mode):
         )
     )
     print(
-        f"guard: {per_guard * 1e9:.0f} ns/site x {2 * emissions} evaluations "
+        f"guard: {per_guard * 1e9:.0f} ns/site x {guards} evaluations "
         f"= {guard_cost * 1e3:.2f} ms = {guard_fraction:.2%} of the null replay "
         f"({emissions} emissions when enabled); "
         f"enabled-observer wall overhead: {t_enabled / t_null - 1.0:+.1%}"

@@ -94,10 +94,13 @@ def main() -> None:
             f"min {min(v for __, v in trajectory):.5f}"
         )
 
+    # Gauges write one row per change; counters and histograms write one
+    # snapshot row per changed child at each monitor tick and the horizon.
     samples = report.metric_samples("thrifty_rt_ttp")
-    print(f"\nmetrics.jsonl carries {len(report.metrics)} samples "
-          f"({len(samples)} of them thrifty_rt_ttp); "
-          f"spans.jsonl carries {len(report.spans)} spans")
+    gauges = sum(1 for row in report.metrics if row.get("type") == "gauge")
+    print(f"\nmetrics.jsonl carries {len(report.metrics)} rows: {gauges} gauge samples "
+          f"({len(samples)} of them thrifty_rt_ttp) and {len(report.metrics) - gauges} "
+          f"counter/histogram snapshots; spans.jsonl carries {len(report.spans)} spans")
 
 
 if __name__ == "__main__":

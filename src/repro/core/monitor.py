@@ -27,6 +27,7 @@ from ..workload.activity import ActivityItem, active_epoch_indices
 from ..workload.logs import merge_intervals
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..obs.metrics import BoundGauge
     from ..obs.observer import Observer
 
 __all__ = ["GroupActivityMonitor", "TenantActivityMonitor"]
@@ -54,16 +55,18 @@ class GroupActivityMonitor:
         """The concurrent-active-tenant signal."""
         return self._concurrency
 
+    # Bound by observe_with; read only while an observer is attached.
+    _concurrent_active: "BoundGauge"
+
     def observe_with(self, observer: "Observer") -> None:
         """Mirror every concurrency change onto the observer's gauge."""
         self._observer = observer
+        self._concurrent_active = observer.concurrent_active.labels(group=self.group_name)
 
     def _sample_concurrency(self, time: float) -> None:
         observer = self._observer
         if observer is not None and observer.enabled:
-            observer.concurrent_active.labels(group=self.group_name).set(
-                time, self._concurrency.value_at_end()
-            )
+            self._concurrent_active.set(time, self._concurrency.value_at_end())
 
     def register_tenant(self, tenant_id: int, nodes_requested: int) -> None:
         """Declare a tenant of this group (needed for activity items)."""

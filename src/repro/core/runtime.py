@@ -33,7 +33,7 @@ from ..errors import DeploymentError, NoHealthyInstanceError
 from ..mppdb.execution import QueryExecution
 from ..mppdb.instance import MPPDBInstance
 from ..mppdb.provisioning import Provisioner
-from ..obs.observer import NULL_OBSERVER, Observer
+from ..obs.observer import NULL_OBSERVER, GroupInstruments, Observer
 from ..obs.tracing import STATUS_INFLIGHT, Span
 from ..simulation.engine import Simulator
 from ..simulation.events import ScheduledEvent
@@ -139,6 +139,9 @@ class RuntimeReport:
 class GroupRuntime:
     """Replays tenant logs against one deployed tenant group."""
 
+    # Bound once when the observer is enabled; read only behind that guard.
+    _metrics: GroupInstruments
+
     def __init__(
         self,
         deployed: DeployedGroup,
@@ -206,6 +209,7 @@ class GroupRuntime:
         self._closed_loop = bool(closed_loop)
         self._observer = observer if observer is not None else NULL_OBSERVER
         if self._observer.enabled:
+            self._metrics = self._observer.bind_group(deployed.group_name)
             self._monitor.observe_with(self._observer)
             for instance in self._wired:
                 instance.engine.observe_with(self._observer, instance.name)
@@ -254,13 +258,12 @@ class GroupRuntime:
         self._live[state] = None
         observer = self._observer
         if observer.enabled:
-            group = self._deployed.group_name
-            observer.queries_submitted.labels(group=group).inc(time)
+            self._metrics.submitted.inc(time)
             state.span = observer.tracer.start_span(
                 "query",
                 time,
                 kind="query",
-                group=group,
+                group=self._deployed.group_name,
                 tenant=tenant_id,
                 template=record.template,
             )
@@ -271,7 +274,6 @@ class GroupRuntime:
         """Route one attempt of a live query and start it on an engine."""
         tenant_id, record = state.tenant, state.record
         observer = self._observer
-        group = self._deployed.group_name
         try:
             instance = self._router.route(tenant_id)
         except NoHealthyInstanceError:
@@ -293,7 +295,7 @@ class GroupRuntime:
         if failed_from is not None and instance.name != failed_from:
             self._failovers += 1
             if observer.enabled:
-                observer.failovers.labels(group=group).inc(time)
+                self._metrics.failovers.inc(time)
             if span is not None:
                 span.add_event(
                     time, "failover", failed=failed_from, survivor=instance.name
@@ -301,7 +303,7 @@ class GroupRuntime:
         if observer.enabled:
             # Classify and trace against the pre-submit state the router saw.
             outcome = classify_decision(self._router, tenant_id, instance)
-            observer.routing_decisions.labels(group=group, outcome=outcome).inc(time)
+            self._metrics.routing(outcome).inc(time)
             if span is not None:
                 span.add_event(
                     time, "route", instance=instance.name, outcome=outcome, attempt=state.attempts
@@ -311,7 +313,7 @@ class GroupRuntime:
         ):
             self._overflow += 1
             if observer.enabled:
-                observer.queries_overflow.labels(group=group).inc(time)
+                self._metrics.overflow.inc(time)
         spec = self._deployed.deployment.tenant(tenant_id)
         template = template_by_name(record.template)
         work = (
@@ -435,7 +437,7 @@ class GroupRuntime:
         delay = self._fault.backoff_s(attempt, self._fault_rng)
         self._retried += 1
         if self._observer.enabled:
-            self._observer.query_retries.labels(group=self._deployed.group_name).inc(now)
+            self._metrics.retries.inc(now)
         if span is not None:
             span.add_event(now, "retry", delay_s=round(delay, 6), attempt=attempt + 1)
         self._sim.schedule_after(
@@ -498,17 +500,13 @@ class GroupRuntime:
         self._sla_records.append(sla_record)
         observer = self._observer
         if observer.enabled:
-            group = self._deployed.group_name
-            observer.queries_completed.labels(group=group).inc(finish)
-            observer.query_latency.labels(group=group).observe(
-                finish, sla_record.observed_latency_s
-            )
-            observer.normalized_latency.labels(group=group).observe(
-                finish, sla_record.normalized
-            )
+            metrics = self._metrics
+            metrics.completed.inc(finish)
+            metrics.latency.observe(finish, sla_record.observed_latency_s)
+            metrics.normalized.observe(finish, sla_record.normalized)
             status = "complete" if sla_record.met else "violate"
             if status == "violate":
-                observer.sla_violations.labels(group=group).inc(finish)
+                metrics.violations.inc(finish)
             span = state.span
             if span is not None:
                 span.set_attr("observed_latency_s", sla_record.observed_latency_s)
@@ -535,9 +533,8 @@ class GroupRuntime:
         self._failed_count += 1
         observer = self._observer
         if observer.enabled:
-            group = self._deployed.group_name
-            observer.queries_failed.labels(group=group).inc(time)
-            observer.sla_violations.labels(group=group).inc(time)
+            self._metrics.failed.inc(time)
+            self._metrics.violations.inc(time)
         span = state.span
         if span is not None:
             span.add_event(time, "failed", reason=reason, attempts=attempts)
@@ -545,13 +542,16 @@ class GroupRuntime:
         self._advance_chain(state, time)
 
     def finalize_observation(self, time: float) -> None:
-        """Force-close query spans still open at the replay horizon.
+        """Close the replay's telemetry at the horizon.
 
         Queries live when the horizon hits (running, parked or waiting out
         a retry backoff) never reach a terminal, so their spans are ended
         with status ``"inflight"``, in first-submission order — every
-        exported span chain is complete either way.  Idempotent; called by
-        :meth:`run` and by the service after a bounded ``Simulator.run``.
+        exported span chain is complete either way.  Then counters and
+        histograms are snapshotted, so the sink's last sample of each
+        child is its final value.  Idempotent; called by :meth:`run` and
+        by the service after a bounded ``Simulator.run`` (and after the
+        health manager's horizon accounting).
         """
         for state in self._live:
             span = state.span
@@ -559,12 +559,14 @@ class GroupRuntime:
                 span.add_event(time, STATUS_INFLIGHT)
                 span.end(time, status=STATUS_INFLIGHT)
                 state.span = None
+        self._observer.metrics.flush(time)
 
     def _periodic_check(self, time: float) -> None:
         rt_ttp = self._monitor.rt_ttp(time, self._scaling.window_s)
         self._rt_ttp_samples.append((time, rt_ttp))
-        if self._observer.enabled:
-            self._observer.rt_ttp.labels(group=self._deployed.group_name).set(time, rt_ttp)
+        observer = self._observer
+        if observer.enabled:
+            self._metrics.rt_ttp.set(time, rt_ttp)
         self._scaling.maybe_scale(
             time,
             self._deployed,
@@ -572,9 +574,10 @@ class GroupRuntime:
             self._router,
             self._provisioner,
             self._sla_fraction,
-            observer=self._observer,
+            observer=observer,
             rt_ttp=rt_ttp,
         )
+        observer.metrics.flush(time)
 
     def schedule(self, until: float) -> int:
         """Schedule all log submissions and periodic checks up to ``until``.

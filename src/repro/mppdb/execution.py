@@ -23,6 +23,7 @@ from ..simulation.engine import Simulator
 from ..simulation.events import ScheduledEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..obs.metrics import BoundCounter, BoundHistogram
     from ..obs.observer import Observer
 
 __all__ = ["QueryExecution", "ExecutionEngine"]
@@ -97,12 +98,16 @@ class ExecutionEngine:
         self._on_abort: list[CompletionCallback] = []
         self._completed: list[QueryExecution] = []
         self._observer: Optional["Observer"] = None
-        self._instance_name = ""
+
+    # Bound by observe_with; read only while an observer is attached.
+    _queries_metric: "BoundCounter"
+    _concurrency_metric: "BoundHistogram"
 
     def observe_with(self, observer: "Observer", instance_name: str) -> None:
         """Attach an observer; engine metrics are labeled ``instance_name``."""
         self._observer = observer
-        self._instance_name = instance_name
+        self._queries_metric = observer.engine_queries.labels(instance=instance_name)
+        self._concurrency_metric = observer.engine_concurrency.labels(instance=instance_name)
 
     @property
     def concurrency(self) -> int:
@@ -174,11 +179,9 @@ class ExecutionEngine:
         observer = self._observer
         if observer is not None and observer.enabled:
             now = self._sim.now
-            observer.engine_queries.labels(instance=self._instance_name).inc(now)
+            self._queries_metric.inc(now)
             # Concurrency as seen on admission, counting this query.
-            observer.engine_concurrency.labels(instance=self._instance_name).observe(
-                now, float(len(self._running) + 1)
-            )
+            self._concurrency_metric.observe(now, float(len(self._running) + 1))
         execution = QueryExecution(
             query_id=next(self._ids),
             tenant_id=tenant_id,

@@ -10,10 +10,19 @@ Three instrument kinds, Prometheus-style:
   latency, engine concurrency).
 
 Instruments are *families* keyed by name; :meth:`MetricFamily.labels`
-binds a family to one label set and returns a cheap bound handle.  Every
-update carries the **simulated** timestamp and is forwarded to the sink
-as a :class:`~repro.obs.sink.MetricSample` (JSONL export); the registry
-additionally keeps a last-value snapshot for the Prometheus text format.
+binds a family to one label set and returns a cheap bound handle, which
+instrumented layers create once, when they are wired, not per update.
+
+Counters and histograms aggregate in place, the way a Prometheus client
+does: an update changes only the child's cumulative state.
+:meth:`MetricsRegistry.flush` is the scrape — it writes one
+:class:`~repro.obs.sink.MetricSample` per child changed since the last
+flush, stamped with the **simulated** time of the flush (the runtime
+calls it at every monitor tick and at the replay horizon).  Gauges keep
+one sample per ``set``: their trajectories (RT-TTP, concurrent-active
+tenants) are what the run report is built from.  ``value()``,
+``snapshot()`` and :meth:`MetricsRegistry.to_prometheus_text` read the
+live state.
 
 When the sink is disabled, updates return before touching any state —
 the registry is free to share between an instrumented runtime and a
@@ -23,6 +32,7 @@ replay that never looks at it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterator, Optional, Sequence
 
 from ..errors import ObservabilityError
@@ -79,11 +89,18 @@ class MetricFamily:
         self.name = name
         self.help_text = help_text
         self.label_names: tuple[str, ...] = tuple(label_names)
+        # Children updated since the last snapshot; only counters and
+        # histograms mark children changed (gauges emit on every set).
+        self._changed: set[LabelKey] = set()
 
-    def _emit(self, time: float, value: float, key: LabelKey) -> None:
-        self._sink.on_metric(
-            MetricSample(time=time, name=self.name, kind=self.kind, value=value, labels=key)
-        )
+    def _sample(self, time: float, key: LabelKey) -> MetricSample:
+        raise NotImplementedError
+
+    def flush(self, time: float) -> None:
+        """Emit one sample per child changed since the last flush, by label key."""
+        for key in sorted(self._changed):
+            self._sink.on_metric(self._sample(time, key))
+        self._changed.clear()
 
 
 class BoundCounter:
@@ -129,9 +146,11 @@ class Counter(MetricFamily):
             return
         if amount < 0:
             raise ObservabilityError(f"counter {self.name!r} cannot decrease (got {amount!r})")
-        total = self._values.get(key, 0.0) + amount
-        self._values[key] = total
-        self._emit(time, total, key)
+        self._values[key] = self._values.get(key, 0.0) + amount
+        self._changed.add(key)
+
+    def _sample(self, time: float, key: LabelKey) -> MetricSample:
+        return MetricSample(time, self.name, self.kind, self._values[key], key)
 
     def value(self, **labels: str) -> float:
         """Current total for one label set (0.0 if never incremented)."""
@@ -184,7 +203,7 @@ class Gauge(MetricFamily):
         if not self._sink.enabled:
             return
         self._values[key] = value
-        self._emit(time, value, key)
+        self._sink.on_metric(MetricSample(time, self.name, self.kind, value, key))
 
     def value(self, **labels: str) -> Optional[float]:
         """Last value for one label set, or ``None`` if never set."""
@@ -238,6 +257,7 @@ class Histogram(MetricFamily):
                 f"histogram {name!r} buckets must be non-empty, sorted and unique"
             )
         self.buckets = ordered
+        self._bound_names = tuple(_format_bound(b) for b in ordered) + ("+Inf",)
         self._states: dict[LabelKey, _HistogramState] = {}
 
     def labels(self, **labels: str) -> BoundHistogram:
@@ -256,23 +276,34 @@ class Histogram(MetricFamily):
         if state is None:
             state = _HistogramState(len(self.buckets))
             self._states[key] = state
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        state.bucket_counts[index] += 1
+        # First bucket whose upper bound is >= value (``le`` semantics); NaN
+        # compares false against every bound, so it lands in ``+Inf``.
+        if math.isnan(value):
+            state.bucket_counts[-1] += 1
+        else:
+            state.bucket_counts[bisect_left(self.buckets, value)] += 1
         state.total += value
         state.count += 1
-        self._emit(time, value, key)
+        self._changed.add(key)
+
+    def _sample(self, time: float, key: LabelKey) -> MetricSample:
+        state = self._states[key]
+        return MetricSample(
+            time,
+            self.name,
+            self.kind,
+            float(state.count),
+            key,
+            total=state.total,
+            buckets=tuple(zip(self._bound_names, state.bucket_counts)),
+        )
 
     def counts(self, **labels: str) -> dict[str, int]:
         """Non-cumulative per-bucket counts keyed by upper bound (``+Inf`` last)."""
         state = self._states.get(_label_key(self.label_names, labels))
         if state is None:
             return {}
-        keys = [_format_bound(b) for b in self.buckets] + ["+Inf"]
-        return dict(zip(keys, state.bucket_counts))
+        return dict(zip(self._bound_names, state.bucket_counts))
 
     def snapshot(self) -> dict[LabelKey, _HistogramState]:
         """Histogram state per label set (shared objects; treat read-only)."""
@@ -352,6 +383,18 @@ class MetricsRegistry:
         assert isinstance(family, Histogram)
         return family
 
+    def flush(self, time: float) -> None:
+        """Snapshot counters and histograms into the sink at simulated ``time``.
+
+        One sample per child changed since the last flush, ordered by
+        family name, then label key; a histogram sample carries the
+        count as its value plus the sum and the per-bucket counts.
+        """
+        if not self.sink.enabled:
+            return
+        for family in self:
+            family.flush(time)
+
     def to_prometheus_text(self) -> str:
         """Render the current snapshot in the Prometheus text format."""
         lines: list[str] = []
@@ -380,6 +423,10 @@ class MetricsRegistry:
 
 
 def _format_value(value: float) -> str:
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)

@@ -50,23 +50,36 @@ def _jsonable(value: AttrValue) -> object:
 
 @dataclass(frozen=True)
 class MetricSample:
-    """One sim-time-stamped observation of a metric."""
+    """One sim-time-stamped reading of a metric child.
+
+    A gauge sample is the level set at ``time``; a counter sample is the
+    running total at a snapshot.  A histogram sample's ``value`` is the
+    observation count, ``total`` the sum of observations and ``buckets``
+    the non-cumulative count per upper bound (``+Inf`` last).
+    """
 
     time: float
     name: str
     kind: str
     value: float
     labels: tuple[tuple[str, str], ...] = ()
+    total: Optional[float] = None
+    buckets: tuple[tuple[str, int], ...] = ()
 
     def as_dict(self) -> dict[str, object]:
-        """JSONL row shape."""
-        return {
+        """JSONL row shape; histogram rows add ``sum`` and ``[bound, count]`` buckets."""
+        row: dict[str, object] = {
             "t": self.time,
             "metric": self.name,
             "type": self.kind,
             "value": self.value,
             "labels": dict(self.labels),
         }
+        if self.kind == "histogram":
+            row["sum"] = self.total
+            # Pairs, not an object: the export sorts keys, buckets keep bound order.
+            row["buckets"] = [list(pair) for pair in self.buckets]
+        return row
 
 
 @dataclass(frozen=True)

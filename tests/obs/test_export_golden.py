@@ -1,0 +1,54 @@
+"""Golden pins for the exported run report of an instrumented chaos replay.
+
+``thrifty replay --chaos-mtbf ... --obs-out DIR`` on a small seeded
+scenario (the CI chaos smoke, scaled down) exercises every exporter
+input: query spans through retry, failover, failure and the horizon,
+scaling and replacement spans, counters, gauges and the fault section of
+``summary.json``.  The digests pin ``summary.json`` and ``spans.jsonl``
+byte for byte: how the metrics plane stores and snapshots its
+instruments must not move either file.  ``metrics.jsonl`` is not pinned;
+its cadence is documented in docs/OBSERVABILITY.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+
+from repro.cli import main
+
+#: sha256 of each pinned file of the scenario below.
+GOLDEN = {
+    "summary.json": "1728de24b9b1209b8437401de3fa9a722a799fb372e5d33856a0ac69bdf0a8a1",
+    "spans.jsonl": "919852fef4f37906c50331c763e0c4c2d993bb433a05debfe7f6786b1c3bc935",
+}
+
+ARGS = [
+    "replay",
+    "--tenants", "16",
+    "--days", "2",
+    "--sessions", "2",
+    "--replication", "2",
+    "--replay-days", "1",
+    "--seed", "20130625",
+    "--chaos-mtbf", "259200",
+]
+
+
+def test_chaos_replay_export_is_pinned(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*ARGS, "--obs-out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    # The scenario reaches the paths it is here to pin.
+    faults = summary["faults"]
+    assert faults["node_failures"] > 0
+    assert faults["failovers"] > 0
+    assert faults["queries_failed"] > 0
+    assert summary["spans"]["by_status"].get("inflight", 0) > 0
+    assert summary["scaling_actions"]
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN
+    }
+    assert digests == GOLDEN

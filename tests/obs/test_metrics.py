@@ -1,5 +1,7 @@
 """Metric instruments: counters, gauges, histograms, the registry, Prometheus text."""
 
+import math
+
 import pytest
 
 from repro.errors import ObservabilityError
@@ -24,9 +26,14 @@ class TestCounter:
         bound.inc(1.0)
         bound.inc(2.0, 4.0)
         assert c.value(group="g1") == 5.0
+        assert sink.metrics == []  # updates aggregate in place
+        registry.flush(10.0)
+        bound.inc(11.0)
+        registry.flush(20.0)
+        registry.flush(30.0)  # nothing changed since the last snapshot
         assert [(s.time, s.value) for s in sink.metric_samples("q_total")] == [
-            (1.0, 1.0),
-            (2.0, 5.0),
+            (10.0, 5.0),
+            (20.0, 6.0),
         ]
 
     def test_label_sets_are_independent(self, registry):
@@ -85,12 +92,42 @@ class TestHistogram:
         # le semantics: 1.0 lands in the first bucket, 5.0 in the second.
         assert h.counts() == {"1": 2, "5": 2, "+Inf": 1}
 
-    def test_raw_observations_reach_the_sink(self, registry, sink):
+    def test_snapshot_row_carries_count_sum_and_buckets(self, registry, sink):
         h = registry.histogram("lat", "", ("group",), buckets=(1.0,))
-        h.labels(group="g").observe(3.0, 0.25)
+        bound = h.labels(group="g")
+        bound.observe(3.0, 0.25)
+        bound.observe(4.0, 2.5)
+        assert sink.metrics == []
+        registry.flush(600.0)
         (sample,) = sink.metric_samples("lat")
-        assert sample.value == 0.25
         assert sample.kind == "histogram"
+        assert sample.as_dict() == {
+            "t": 600.0,
+            "metric": "lat",
+            "type": "histogram",
+            "value": 2.0,
+            "labels": {"group": "g"},
+            "sum": 2.75,
+            "buckets": [["1", 1], ["+Inf", 1]],
+        }
+
+    @pytest.mark.parametrize(
+        "value",
+        [-math.inf, -3.0, 0.0, 0.5, 1.0, 1.0 + 1e-12, 5.0, 5.5, 1e308, math.inf, math.nan],
+    )
+    def test_bucket_lookup_matches_the_linear_scan(self, registry, value):
+        buckets = (0.5, 1.0, 5.0)
+        # The scan bisect replaced: first bound with value <= bound, else +Inf.
+        expected = next((i for i, b in enumerate(buckets) if value <= b), len(buckets))
+        h = registry.histogram("lat", "", (), buckets=buckets)
+        h.observe(0.0, value)
+        counts = list(h.counts().values())
+        assert counts == [int(i == expected) for i in range(len(buckets) + 1)]
+
+    def test_nan_lands_in_the_inf_bucket(self, registry):
+        h = registry.histogram("lat", "", (), buckets=(1.0, 5.0))
+        h.observe(0.0, math.nan)
+        assert h.counts() == {"1": 0, "5": 0, "+Inf": 1}
 
     def test_bad_buckets_rejected(self, registry):
         for buckets in ((), (2.0, 1.0), (1.0, 1.0)):
@@ -100,6 +137,46 @@ class TestHistogram:
     def test_empty_counts_before_first_observation(self, registry):
         h = registry.histogram("lat", "", ("group",))
         assert h.counts(group="g") == {}
+
+
+class TestFlush:
+    def test_rows_ordered_by_family_then_label_key(self, registry, sink):
+        b = registry.counter("b_total", "", ("group",))
+        a = registry.histogram("a_lat", "", ("group",), buckets=(1.0,))
+        b.labels(group="z").inc(1.0)
+        b.labels(group="y").inc(2.0)
+        a.labels(group="x").observe(3.0, 0.5)
+        registry.flush(600.0)
+        assert [(s.name, dict(s.labels)["group"]) for s in sink.metrics] == [
+            ("a_lat", "x"),
+            ("b_total", "y"),
+            ("b_total", "z"),
+        ]
+
+    def test_only_changed_children_are_snapshotted(self, registry, sink):
+        c = registry.counter("q_total", "", ("group",))
+        c.labels(group="a").inc(0.0)
+        c.labels(group="b").inc(0.0)
+        registry.flush(600.0)
+        c.labels(group="b").inc(700.0)
+        registry.flush(1200.0)
+        assert [(s.time, dict(s.labels)["group"], s.value) for s in sink.metrics] == [
+            (600.0, "a", 1.0),
+            (600.0, "b", 1.0),
+            (1200.0, "b", 2.0),
+        ]
+
+    def test_gauges_emit_per_set_not_per_flush(self, registry, sink):
+        g = registry.gauge("ttp")
+        g.set(1.0, 0.99)
+        registry.flush(600.0)
+        assert [(s.time, s.value) for s in sink.metrics] == [(1.0, 0.99)]
+
+    def test_disabled_sink_flush_is_a_no_op(self):
+        registry = MetricsRegistry(NullSink())
+        registry.counter("q_total").inc(0.0)
+        registry.flush(600.0)
+        assert registry.counter("q_total").snapshot() == {}
 
 
 class TestRegistry:
@@ -143,6 +220,16 @@ class TestPrometheusText:
         assert 'lat_bucket{g="x",le="+Inf"} 3' in text
         assert 'lat_sum{g="x"} 11.5' in text
         assert 'lat_count{g="x"} 3' in text
+
+    def test_non_finite_values_render_as_prometheus_specials(self, registry):
+        registry.gauge("g_nan").set(0.0, math.nan)
+        registry.gauge("g_neg").set(0.0, -math.inf)
+        registry.histogram("h", "", (), buckets=(1.0,)).observe(0.0, math.inf)
+        text = registry.to_prometheus_text()
+        assert "g_nan NaN" in text
+        assert "g_neg -Inf" in text
+        assert 'h_bucket{le="+Inf"} 1' in text
+        assert "h_sum +Inf" in text
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry(MemorySink()).to_prometheus_text() == ""

@@ -45,11 +45,21 @@ class TestInstrumentContract:
         observer = Observer(sink)
         observer.queries_submitted.labels(group="g1").inc(1.0)
         observer.routing_decisions.labels(group="g1", outcome="free").inc(1.0)
+        observer.metrics.flush(600.0)
         names = {s.name for s in sink.metrics}
         assert names == {
             "thrifty_queries_submitted_total",
             "thrifty_routing_decisions_total",
         }
+
+    def test_group_instruments_bind_the_group_label(self):
+        observer = Observer(MemorySink())
+        instruments = observer.bind_group("g1")
+        instruments.submitted.inc(1.0)
+        instruments.routing("free").inc(1.0)
+        assert instruments.routing("free") is instruments.routing("free")
+        assert observer.queries_submitted.value(group="g1") == 1.0
+        assert observer.routing_decisions.value(group="g1", outcome="free") == 1.0
 
     def test_tracer_shares_the_sink(self):
         sink = MemorySink()

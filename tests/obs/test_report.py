@@ -42,6 +42,8 @@ def _simulate_small_run(observer):
     gauge.set(8.0, 0.0)
     scaling = observer.tracer.start_span("scaling", 6.0, kind="scaling", group="tg0")
     scaling.end(7.0)
+    # The horizon snapshot a replay's finalize_observation takes.
+    observer.metrics.flush(10.0)
 
 
 class TestBuildSummary:
