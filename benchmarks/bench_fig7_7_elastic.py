@@ -154,7 +154,7 @@ def test_fig7_7_lightweight_elastic_scaling(benchmark, scale):
     ]
     print("Scaling spans (enabled run):")
     for span in excerpt:
-        attrs = " ".join(f"{k}={v}" for k, v in sorted(span.attrs))
+        attrs = " ".join(f"{k}={v}" for k, v in sorted(span.attrs.items()))
         print(f"  [{span.start:12.2f} .. {span.end:12.2f}] {attrs}")
     assert len(excerpt) == len(actions)
     assert [dict(span.attrs)["policy"] for span in excerpt] == [a.kind for a in actions]

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import CapacityError, MPPDBError
 from ..obs.observer import NULL_OBSERVER, Observer
+from ..obs.tracing import STATUS_INFLIGHT, Span
 from ..simulation.engine import Simulator
 from .failures import FailureInjector, NodeFailure
 from .pool import MachinePool
@@ -28,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (mppdb imports cluster
     # submodules at runtime; importing it back here would close a cycle)
     from ..mppdb.instance import MPPDBInstance
     from ..mppdb.provisioning import Provisioner
-    from ..obs.tracing import Span
 
 __all__ = ["HealthManager"]
 
@@ -66,7 +66,7 @@ class HealthManager:
         #: When each currently-impaired instance left READY, by name.
         self._degraded_since: dict[str, float] = {}
         #: Open ``replace`` spans per instance name (ended on recovery).
-        self._replace_spans: dict[str, "Span"] = {}
+        self._replace_spans: dict[str, Span] = {}
         self.node_failures_handled = 0
         self.replacements_started = 0
         self.replacements_completed = 0
@@ -142,7 +142,7 @@ class HealthManager:
             instance.mark_down()
             span = self._replace_spans.pop(instance.name, None)
             if span is not None:
-                span.end(now, status="no-capacity")
+                span.finish(now, status="no-capacity")
             return
         self.replacements_started += 1
         if observer.enabled:
@@ -156,7 +156,7 @@ class HealthManager:
         span = self._replace_spans.pop(instance.name, None)
         if span is not None:
             span.add_event(time, "recovered")
-            span.end(time, status="replaced")
+            span.finish(time, status="replaced")
         since = self._degraded_since.pop(instance.name, None)
         if since is not None and self._observer.enabled:
             self._observer.instance_degraded_seconds.labels(
@@ -175,4 +175,4 @@ class HealthManager:
                 )
         self._degraded_since.clear()
         for name in sorted(self._replace_spans):
-            self._replace_spans.pop(name).end(time, status="inflight")
+            self._replace_spans.pop(name).finish(time, status=STATUS_INFLIGHT)

@@ -512,7 +512,7 @@ class GroupRuntime:
                 span.set_attr("observed_latency_s", sla_record.observed_latency_s)
                 span.set_attr("normalized", round(sla_record.normalized, 9))
                 span.add_event(finish, status)
-                span.end(finish, status=status)
+                span.finish(finish, status=status)
         self._advance_chain(state, finish)
 
     def _fail(self, state: _QueryState, time: float, reason: str) -> None:
@@ -538,7 +538,7 @@ class GroupRuntime:
         span = state.span
         if span is not None:
             span.add_event(time, "failed", reason=reason, attempts=attempts)
-            span.end(time, status="failed")
+            span.finish(time, status="failed")
         self._advance_chain(state, time)
 
     def finalize_observation(self, time: float) -> None:
@@ -557,7 +557,7 @@ class GroupRuntime:
             span = state.span
             if span is not None:
                 span.add_event(time, STATUS_INFLIGHT)
-                span.end(time, status=STATUS_INFLIGHT)
+                span.finish(time, status=STATUS_INFLIGHT)
                 state.span = None
         self._observer.metrics.flush(time)
 

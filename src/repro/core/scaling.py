@@ -139,7 +139,7 @@ class ScalingPolicy(abc.ABC):
                     loaded_gb=action.loaded_gb,
                     rt_ttp=round(rt_ttp, 5),
                 )
-                span.end(action.expected_ready_time)
+                span.finish(action.expected_ready_time)
         return action
 
     def _should_scale(self, now: float, group_name: str, rt_ttp: float, sla_fraction: float) -> bool:

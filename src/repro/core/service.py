@@ -332,7 +332,7 @@ class ThriftyService:
         if span is not None:
             span.set_attr("torn_down", tuple(sorted(torn_down)))
             span.set_attr("groups_after", len(result.plan))
-            span.end(self.simulator.now)
+            span.finish(self.simulator.now)
         self._advice = AdvisorResult(
             plan=result.plan, grouping=result.grouping, excluded=self._advice.excluded
         )

@@ -9,7 +9,9 @@ measurement plane:
   as JSONL or Prometheus text (:mod:`repro.obs.metrics`).
 * **Tracing** — spans over the query/tenant lifecycle (``submit → route
   → admit → execute → complete``/``violate``), plus scaling and
-  reconsolidation spans, with deterministic ids (:mod:`repro.obs.tracing`).
+  reconsolidation spans, with deterministic ids.  One :class:`Span`
+  object is opened, annotated, finished and kept by the sink
+  (:mod:`repro.obs.tracing`).
 * **Profiling** — wall-clock timers and call counters around the packing
   solvers and the routing hot path (:mod:`repro.obs.profiling`).
 * **Sinks** — pluggable destinations; the default :data:`NULL_SINK`
@@ -45,10 +47,8 @@ from .sink import (
     NULL_SINK,
     ObsEvent,
     ObsSink,
-    SpanEvent,
-    SpanRecord,
 )
-from .tracing import STATUS_INFLIGHT, Span, Tracer
+from .tracing import STATUS_INFLIGHT, Span, SpanEvent, Tracer
 
 __all__ = [
     "Counter",
@@ -70,9 +70,8 @@ __all__ = [
     "NULL_SINK",
     "ObsEvent",
     "ObsSink",
-    "SpanEvent",
-    "SpanRecord",
     "Span",
+    "SpanEvent",
     "STATUS_INFLIGHT",
     "Tracer",
 ]

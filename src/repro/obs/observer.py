@@ -26,7 +26,7 @@ from .metrics import (
     MetricsRegistry,
 )
 from .profiling import PROFILER, ProfileRegistry
-from .sink import MemorySink, NULL_SINK, ObsEvent, ObsSink, attrs_tuple
+from .sink import AttrValue, MemorySink, NULL_SINK, ObsEvent, ObsSink
 from .tracing import Tracer
 
 __all__ = ["Observer", "GroupInstruments", "NULL_OBSERVER"]
@@ -146,10 +146,10 @@ class Observer:
         """Whether instrumentation sites should do any work."""
         return self.sink.enabled
 
-    def event(self, time: float, kind: str, **attrs: object) -> None:
+    def event(self, time: float, kind: str, **attrs: AttrValue) -> None:
         """Emit a one-shot event to the sink."""
         if self.sink.enabled:
-            self.sink.on_event(ObsEvent(time=time, kind=kind, attrs=attrs_tuple(attrs)))
+            self.sink.on_event(ObsEvent(time=time, kind=kind, attrs=attrs))
 
     def memory_sink(self) -> Optional[MemorySink]:
         """The :class:`MemorySink` behind this observer, if it has one."""

@@ -10,6 +10,11 @@ Two sinks cover the use cases:
 * :class:`MemorySink` — collects everything in order, with JSONL export
   (``metrics.jsonl`` / ``spans.jsonl``) for the run report.
 
+A finished span arrives as the :class:`~repro.obs.tracing.Span` object
+the runtime annotated, not a copy; the sink keeps it as it is.  Span and
+event attributes stay as the emitter passed them until ``as_dict``
+normalizes them to JSON (:func:`jsonable_attrs`).
+
 There is one telemetry path: overflow, park, retry, failover and failure
 are query-span events plus counters, and each scale-up is a ``scaling``
 span, so a replay's history is read back from a :class:`MemorySink`.
@@ -22,14 +27,15 @@ from __future__ import annotations
 
 import abc
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Optional, Sequence, Union
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (tracing imports this module)
+    from .tracing import Span
 
 __all__ = [
     "MetricSample",
-    "SpanEvent",
-    "SpanRecord",
     "ObsEvent",
     "ObsSink",
     "NullSink",
@@ -37,15 +43,23 @@ __all__ = [
     "NULL_SINK",
 ]
 
-#: Values allowed in span/event attributes: JSON scalars plus flat tuples.
-AttrValue = Union[str, int, float, bool, None, tuple]
+#: Values allowed in span/event attributes: JSON scalars plus flat
+#: sequences and sets (exported as lists, sets sorted).
+AttrValue = Union[str, int, float, bool, None, Sequence[object], AbstractSet[object]]
 
 
-def _jsonable(value: AttrValue) -> object:
+def _jsonable(value: object) -> object:
     """Coerce an attribute value into a JSON-serialisable shape."""
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return list(value)
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
     return value
+
+
+def jsonable_attrs(attrs: Mapping[str, AttrValue]) -> dict[str, object]:
+    """The JSON object of an attribute mapping."""
+    return {k: _jsonable(v) for k, v in attrs.items()}
 
 
 @dataclass(frozen=True)
@@ -83,66 +97,16 @@ class MetricSample:
 
 
 @dataclass(frozen=True)
-class SpanEvent:
-    """A point-in-time annotation inside a span."""
-
-    time: float
-    name: str
-    attrs: tuple[tuple[str, AttrValue], ...] = ()
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON shape used inside a span row."""
-        return {
-            "t": self.time,
-            "name": self.name,
-            "attrs": {k: _jsonable(v) for k, v in self.attrs},
-        }
-
-
-@dataclass(frozen=True)
-class SpanRecord:
-    """A finished span: one lifecycle interval with its annotations."""
-
-    span_id: int
-    parent_id: Optional[int]
-    name: str
-    kind: str
-    start: float
-    end: float
-    status: str
-    attrs: tuple[tuple[str, AttrValue], ...] = ()
-    events: tuple[SpanEvent, ...] = ()
-
-    def as_dict(self) -> dict[str, object]:
-        """JSONL row shape."""
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "kind": self.kind,
-            "start": self.start,
-            "end": self.end,
-            "status": self.status,
-            "attrs": {k: _jsonable(v) for k, v in self.attrs},
-            "events": [e.as_dict() for e in self.events],
-        }
-
-
-@dataclass(frozen=True)
 class ObsEvent:
     """A one-shot event: a kind and its attributes at one sim time."""
 
     time: float
     kind: str
-    attrs: tuple[tuple[str, AttrValue], ...] = ()
+    attrs: Mapping[str, AttrValue] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, object]:
         """JSON shape."""
-        return {
-            "t": self.time,
-            "kind": self.kind,
-            "attrs": {k: _jsonable(v) for k, v in self.attrs},
-        }
+        return {"t": self.time, "kind": self.kind, "attrs": jsonable_attrs(self.attrs)}
 
 
 class ObsSink(abc.ABC):
@@ -159,7 +123,7 @@ class ObsSink(abc.ABC):
         """Receive one metric sample."""
 
     @abc.abstractmethod
-    def on_span(self, span: SpanRecord) -> None:
+    def on_span(self, span: Span) -> None:
         """Receive one finished span."""
 
     @abc.abstractmethod
@@ -175,7 +139,7 @@ class NullSink(ObsSink):
     def on_metric(self, sample: MetricSample) -> None:
         """Drop the sample."""
 
-    def on_span(self, span: SpanRecord) -> None:
+    def on_span(self, span: Span) -> None:
         """Drop the span."""
 
     def on_event(self, event: ObsEvent) -> None:
@@ -191,14 +155,14 @@ class MemorySink(ObsSink):
 
     def __init__(self) -> None:
         self.metrics: list[MetricSample] = []
-        self.spans: list[SpanRecord] = []
+        self.spans: list[Span] = []
         self.events: list[ObsEvent] = []
 
     def on_metric(self, sample: MetricSample) -> None:
         """Append the sample."""
         self.metrics.append(sample)
 
-    def on_span(self, span: SpanRecord) -> None:
+    def on_span(self, span: Span) -> None:
         """Append the span."""
         self.spans.append(span)
 
@@ -213,7 +177,7 @@ class MemorySink(ObsSink):
             s for s in self.metrics if s.name == name and wanted <= set(s.labels)
         ]
 
-    def spans_of(self, kind: str) -> list[SpanRecord]:
+    def spans_of(self, kind: str) -> list[Span]:
         """All finished spans of the given kind, in finish order."""
         return [s for s in self.spans if s.kind == kind]
 
@@ -235,14 +199,3 @@ def _write_jsonl(path: Union[str, Path], rows: Iterable[Mapping[str, object]]) -
             handle.write(json.dumps(row, sort_keys=True))
             handle.write("\n")
     return target
-
-
-def attrs_tuple(attrs: Mapping[str, Any]) -> tuple[tuple[str, AttrValue], ...]:
-    """Normalize an attribute mapping into the hashable record shape."""
-    out: list[tuple[str, AttrValue]] = []
-    for key, value in attrs.items():
-        if isinstance(value, (list, set, frozenset)):
-            out.append((key, tuple(sorted(value) if isinstance(value, (set, frozenset)) else value)))
-        else:
-            out.append((key, value))
-    return tuple(out)

@@ -6,108 +6,133 @@ reconsolidation cycle — annotated with point-in-time events
 (``submit``, ``route``, ``admit``, ``execute``, ``complete`` /
 ``violate``; see ``docs/OBSERVABILITY.md`` for the full taxonomy).
 
+A span is one object from start to export: :meth:`Tracer.start_span`
+opens it, call sites annotate it, and :meth:`Span.finish` hands that same
+object to the sink, which keeps it.  Attributes are stored as the call
+site passed them and normalized to JSON only by :meth:`Span.as_dict`.
+
 Spans carry **simulated** timestamps from the replay clock and ids from a
 deterministic counter, so replaying the same scenario twice yields
-byte-identical ``spans.jsonl`` exports.  A span is emitted to the sink
-when it ends; :meth:`Tracer.end_open` force-closes whatever is still open
-(queries in flight when the replay horizon is reached) with a
-distinguishable status.
+byte-identical ``spans.jsonl`` exports.  The tracer keeps no set of open
+spans: whoever opens a span closes it, and the owners of spans still open
+at the replay horizon finish them there with status
+:data:`STATUS_INFLIGHT`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple, Optional
 
 from ..errors import ObservabilityError
-from .sink import AttrValue, ObsSink, SpanEvent, SpanRecord, NULL_SINK, attrs_tuple
+from .sink import AttrValue, ObsSink, NULL_SINK, jsonable_attrs
 
-__all__ = ["Span", "Tracer", "STATUS_INFLIGHT"]
+__all__ = ["Span", "SpanEvent", "Tracer", "STATUS_INFLIGHT"]
 
 #: Status given to spans force-closed at the replay horizon.
 STATUS_INFLIGHT = "inflight"
 
+#: The attributes of every event recorded without any.
+_NO_ATTRS: Mapping[str, AttrValue] = MappingProxyType({})
+
+
+class SpanEvent(NamedTuple):
+    """A point-in-time annotation inside a span."""
+
+    time: float
+    name: str
+    attrs: Mapping[str, AttrValue] = _NO_ATTRS
+
+    def as_dict(self) -> dict[str, object]:
+        """JSON shape used inside a span row."""
+        return {"t": self.time, "name": self.name, "attrs": jsonable_attrs(self.attrs)}
+
 
 class Span:
-    """One open lifecycle interval; becomes a :class:`SpanRecord` on end."""
+    """One lifecycle interval, kept by the sink once :meth:`finish` runs.
+
+    ``end`` is ``None`` and ``status`` empty while the span is open.
+    """
+
+    __slots__ = (
+        "span_id", "parent_id", "name", "kind", "start", "end", "status", "attrs", "events",
+        "_sink",
+    )
 
     def __init__(
         self,
-        tracer: "Tracer",
+        sink: ObsSink,
         span_id: int,
         parent_id: Optional[int],
         name: str,
         kind: str,
         start: float,
-        attrs: tuple[tuple[str, AttrValue], ...],
+        attrs: dict[str, AttrValue],
     ) -> None:
-        self._tracer = tracer
+        self._sink = sink
         self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
         self.kind = kind
         self.start = start
-        self.attrs: dict[str, AttrValue] = dict(attrs)
+        self.end: Optional[float] = None
+        self.status = ""
+        self.attrs = attrs
         self.events: list[SpanEvent] = []
-        self._ended = False
 
-    @property
-    def ended(self) -> bool:
-        """Whether :meth:`end` has run."""
-        return self._ended
+    def _check_open(self) -> None:
+        if self.end is not None:
+            raise ObservabilityError(f"span {self.span_id} already ended")
 
     def set_attr(self, key: str, value: AttrValue) -> None:
         """Set (or overwrite) one span attribute."""
+        self._check_open()
         self.attrs[key] = value
 
     def add_event(self, time: float, name: str, **attrs: Any) -> None:
         """Append a point-in-time annotation."""
-        if self._ended:
-            raise ObservabilityError(f"span {self.span_id} already ended")
-        self.events.append(SpanEvent(time=time, name=name, attrs=attrs_tuple(attrs)))
+        self._check_open()
+        self.events.append(SpanEvent(time, name, attrs or _NO_ATTRS))
 
-    def end(self, time: float, status: str = "ok") -> SpanRecord:
-        """Close the span and emit it to the tracer's sink."""
-        if self._ended:
-            raise ObservabilityError(f"span {self.span_id} already ended")
+    def finish(self, time: float, status: str = "ok") -> None:
+        """Close the span at ``time`` and hand it to the tracer's sink."""
+        self._check_open()
         if time < self.start:
             raise ObservabilityError(
                 f"span {self.span_id} cannot end at {time!r} before its start {self.start!r}"
             )
-        self._ended = True
-        record = SpanRecord(
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            name=self.name,
-            kind=self.kind,
-            start=self.start,
-            end=time,
-            status=status,
-            attrs=attrs_tuple(self.attrs),
-            events=tuple(self.events),
-        )
-        self._tracer._finish(self, record)
-        return record
+        self.end = time
+        self.status = status
+        if self._sink.enabled:
+            self._sink.on_span(self)
+
+    def as_dict(self) -> dict[str, object]:
+        """JSONL row shape."""
+        return {
+            "span_id": self.span_id,
+            "parent_id": self.parent_id,
+            "name": self.name,
+            "kind": self.kind,
+            "start": self.start,
+            "end": self.end,
+            "status": self.status,
+            "attrs": jsonable_attrs(self.attrs),
+            "events": [e.as_dict() for e in self.events],
+        }
 
 
 class Tracer:
-    """Creates spans with deterministic ids and tracks the open set."""
+    """Opens spans onto one sink, with ids from a deterministic counter."""
 
     def __init__(self, sink: Optional[ObsSink] = None) -> None:
         self.sink: ObsSink = sink if sink is not None else NULL_SINK
         self._ids = itertools.count(1)
-        self._open: dict[int, Span] = {}
-        self._finished = 0
 
     @property
     def enabled(self) -> bool:
         """Whether spans reach a live sink."""
         return self.sink.enabled
-
-    @property
-    def finished_count(self) -> int:
-        """Number of spans emitted so far."""
-        return self._finished
 
     def start_span(
         self,
@@ -118,34 +143,12 @@ class Tracer:
         **attrs: Any,
     ) -> Span:
         """Open a span starting at simulated ``time``."""
-        span = Span(
-            tracer=self,
-            span_id=next(self._ids),
-            parent_id=parent.span_id if parent is not None else None,
-            name=name,
-            kind=kind or name,
-            start=time,
-            attrs=attrs_tuple(attrs),
+        return Span(
+            self.sink,
+            next(self._ids),
+            parent.span_id if parent is not None else None,
+            name,
+            kind or name,
+            time,
+            attrs,
         )
-        self._open[span.span_id] = span
-        return span
-
-    def open_spans(self) -> list[Span]:
-        """Spans started but not yet ended, in start order."""
-        return [self._open[key] for key in sorted(self._open)]
-
-    def end_open(self, time: float, status: str = STATUS_INFLIGHT, kind: Optional[str] = None) -> int:
-        """Force-close open spans (optionally only of ``kind``); returns count."""
-        closed = 0
-        for span in self.open_spans():
-            if kind is not None and span.kind != kind:
-                continue
-            span.end(time, status=status)
-            closed += 1
-        return closed
-
-    def _finish(self, span: Span, record: SpanRecord) -> None:
-        self._open.pop(span.span_id, None)
-        self._finished += 1
-        if self.sink.enabled:
-            self.sink.on_span(record)

@@ -30,6 +30,17 @@ def tiny_config(**overrides) -> EvaluationConfig:
     return EvaluationConfig(**defaults)
 
 
+def assert_spans_emitted_once(observer, time: float) -> None:
+    """Every span the observer's tracer opened reached its sink exactly once.
+
+    The sink's span ids are exactly ``1..N`` and the next id the tracer
+    issues is ``N + 1``: no span is still open, lost, or emitted twice.
+    """
+    ids = sorted(span.span_id for span in observer.memory_sink().spans)
+    assert ids == list(range(1, len(ids) + 1))
+    assert observer.tracer.start_span("probe", time).span_id == len(ids) + 1
+
+
 @pytest.fixture(scope="session")
 def config() -> EvaluationConfig:
     return tiny_config()

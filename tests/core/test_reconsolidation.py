@@ -1,10 +1,13 @@
 """Re-consolidation cycle tests (Chapter 3 / 5.1)."""
 
+import json
+
 import pytest
 
 from repro.core.advisor import DeploymentAdvisor
 from repro.core.service import ThriftyService
 from repro.errors import DeploymentError
+from repro.obs import MemorySink, Observer
 from repro.workload.activity import ActivityMatrix
 from repro.workload.composer import MultiTenantLogComposer
 from repro.workload.generator import SessionLogGenerator
@@ -83,12 +86,23 @@ class TestAdvisorReconsolidate:
             )
 
 
+#: The exported ``spans.jsonl`` row of the cycle in
+#: ``test_reconsolidation_span_row_is_pinned``: tuple attributes set at
+#: start (``affected``, ``departed``) and by ``set_attr`` (``torn_down``)
+#: all export as JSON lists.
+RECONSOLIDATION_ROW = (
+    '{"attrs": {"affected": ["tg1"], "cycle": 1, "departed": [0, 3], "groups_after": 4, '
+    '"torn_down": ["tg0", "tg1"]}, "end": 0.0, "events": [], "kind": "reconsolidation", '
+    '"name": "reconsolidation", "parent_id": null, "span_id": 1, "start": 0.0, "status": "ok"}'
+)
+
+
 class TestServiceReconsolidate:
-    def _service(self):
+    def _service(self, observer=None):
         config = tiny_config(num_tenants=24, seed=19)
         library = SessionLogGenerator(config, sessions_per_size=3).generate()
         workload = MultiTenantLogComposer(config, library).compose()
-        service = ThriftyService(config, scaling="disabled")
+        service = ThriftyService(config, scaling="disabled", observer=observer)
         service.deploy(workload)
         return service
 
@@ -110,6 +124,15 @@ class TestServiceReconsolidate:
         target = service.advice.plan.groups[0].group_name
         advice = service.reconsolidate(extra_groups=[target])
         assert target not in {g.group_name for g in advice.plan}
+
+    def test_reconsolidation_span_row_is_pinned(self):
+        observer = Observer(MemorySink())
+        service = self._service(observer)
+        plan = service.advice.plan
+        departed = list(plan.groups[0].placement.tenant_ids[:2])
+        service.reconsolidate(departed=departed, extra_groups=[plan.groups[1].group_name])
+        (span,) = observer.memory_sink().spans_of("reconsolidation")
+        assert json.dumps(span.as_dict(), sort_keys=True) == RECONSOLIDATION_ROW
 
     def test_nothing_to_do_rejected(self):
         service = self._service()

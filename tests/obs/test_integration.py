@@ -12,7 +12,7 @@ from repro.obs import MemorySink, Observer, STATUS_INFLIGHT, write_run_report
 from repro.units import HOUR
 from repro.workload.composer import MultiTenantLogComposer
 from repro.workload.generator import SessionLogGenerator
-from tests.conftest import tiny_config
+from tests.conftest import assert_spans_emitted_once, tiny_config
 
 _HORIZON = 6 * HOUR
 
@@ -55,7 +55,7 @@ class TestSpanChains:
 
     def test_no_spans_left_open(self, replayed):
         observer, _, __ = replayed
-        assert observer.tracer.open_spans() == []
+        assert_spans_emitted_once(observer, _HORIZON)
 
     def test_span_times_are_ordered_within_each_span(self, replayed):
         observer, _, __ = replayed

@@ -64,7 +64,7 @@ class TestInstrumentContract:
     def test_tracer_shares_the_sink(self):
         sink = MemorySink()
         observer = Observer(sink)
-        observer.tracer.start_span("query", 0.0, kind="query").end(1.0)
+        observer.tracer.start_span("query", 0.0, kind="query").finish(1.0)
         assert len(sink.spans) == 1
 
 

@@ -28,7 +28,7 @@ def _simulate_small_run(observer):
         submitted.labels(group=group).inc(t)
         span = observer.tracer.start_span("query", t, kind="query", group=group)
         span.add_event(t, "submit")
-        span.end(t + 0.5, status="complete")
+        span.finish(t + 0.5, status="complete")
         completed.labels(group=group).inc(t + 0.5)
     observer.sla_violations.labels(group="tg0").inc(2.5)
     observer.routing_decisions.labels(group="tg0", outcome="free").inc(1.0)
@@ -41,7 +41,7 @@ def _simulate_small_run(observer):
     gauge.set(4.0, 2.0)
     gauge.set(8.0, 0.0)
     scaling = observer.tracer.start_span("scaling", 6.0, kind="scaling", group="tg0")
-    scaling.end(7.0)
+    scaling.finish(7.0)
     # The horizon snapshot a replay's finalize_observation takes.
     observer.metrics.flush(10.0)
 

@@ -1,4 +1,4 @@
-"""Sink behaviour: null short-circuit and memory collection."""
+"""Sink behaviour: null short-circuit, memory collection, JSON export."""
 
 import json
 
@@ -9,27 +9,20 @@ from repro.obs import (
     NullSink,
     ObsEvent,
     SpanEvent,
-    SpanRecord,
+    Tracer,
 )
-from repro.obs.sink import attrs_tuple
 
 
 def _sample(t=1.0, name="m", value=2.0, labels=()):
     return MetricSample(time=t, name=name, kind="counter", value=value, labels=labels)
 
 
-def _span(span_id=1, kind="query", status="complete", attrs=(), events=()):
-    return SpanRecord(
-        span_id=span_id,
-        parent_id=None,
-        name="query",
-        kind=kind,
-        start=0.0,
-        end=3.0,
-        status=status,
-        attrs=attrs,
-        events=events,
-    )
+def _span(kind="query", status="complete", events=(), **attrs):
+    """A finished span, built away from any live sink."""
+    span = Tracer().start_span("query", 0.0, kind=kind, **attrs)
+    span.events.extend(events)
+    span.finish(3.0, status=status)
+    return span
 
 
 class TestNullSink:
@@ -66,19 +59,15 @@ class TestMemorySink:
 
     def test_spans_of(self):
         sink = MemorySink()
-        sink.on_span(_span(span_id=1, kind="query"))
-        sink.on_span(_span(span_id=2, kind="scaling"))
+        tracer = Tracer(sink)
+        tracer.start_span("query", 0.0, kind="query").finish(1.0)
+        tracer.start_span("scaling", 0.0, kind="scaling").finish(1.0)
         assert [s.span_id for s in sink.spans_of("query")] == [1]
 
     def test_jsonl_export_round_trips(self, tmp_path):
         sink = MemorySink()
         sink.on_metric(_sample(labels=(("group", "g1"),)))
-        sink.on_span(
-            _span(
-                attrs=(("tenant", 7), ("ids", (1, 2))),
-                events=(SpanEvent(time=1.0, name="submit"),),
-            )
-        )
+        sink.on_span(_span(events=(SpanEvent(time=1.0, name="submit"),), tenant=7, ids=(1, 2)))
         metrics_path = sink.write_metrics_jsonl(tmp_path / "metrics.jsonl")
         spans_path = sink.write_spans_jsonl(tmp_path / "spans.jsonl")
         metric_row = json.loads(metrics_path.read_text().splitlines()[0])
@@ -95,11 +84,35 @@ class TestMemorySink:
         assert span_row["events"][0]["name"] == "submit"
 
 
-class TestAttrsTuple:
-    def test_scalars_pass_through(self):
-        assert attrs_tuple({"a": 1, "b": "x"}) == (("a", 1), ("b", "x"))
+#: Every collection shape an attribute may take, and its exported JSON.
+_ATTRS = {
+    "n": 1, "s": "x", "lst": [3, 1], "tup": (3, 1), "st": {2, 1}, "fst": frozenset({"b", "a"})
+}
+_EXPORTED = {"n": 1, "s": "x", "lst": [3, 1], "tup": [3, 1], "st": [1, 2], "fst": ["a", "b"]}
 
-    def test_lists_become_tuples_and_sets_sort(self):
-        out = dict(attrs_tuple({"lst": [3, 1], "st": {2, 1}}))
-        assert out["lst"] == (3, 1)
-        assert out["st"] == (1, 2)
+
+class TestAttributeExport:
+    def test_span_attrs(self):
+        span = Tracer().start_span("query", 0.0, **_ATTRS)
+        assert span.attrs == _ATTRS  # stored as passed
+        span.finish(1.0)
+        assert json.loads(json.dumps(span.as_dict()))["attrs"] == _EXPORTED
+
+    def test_span_attrs_set_after_start(self):
+        span = Tracer().start_span("query", 0.0)
+        for key, value in _ATTRS.items():
+            span.set_attr(key, value)
+        span.finish(1.0)
+        assert json.loads(json.dumps(span.as_dict()))["attrs"] == _EXPORTED
+
+    def test_span_event_attrs(self):
+        span = Tracer().start_span("query", 0.0)
+        span.add_event(0.5, "route", **_ATTRS)
+        span.finish(1.0)
+        (event,) = json.loads(json.dumps(span.as_dict()))["events"]
+        assert event == {"t": 0.5, "name": "route", "attrs": _EXPORTED}
+
+    def test_obs_event_attrs(self):
+        event = ObsEvent(time=2.0, kind="k", attrs=_ATTRS)
+        exported = json.loads(json.dumps(event.as_dict()))
+        assert exported == {"t": 2.0, "kind": "k", "attrs": _EXPORTED}

@@ -13,11 +13,12 @@ from repro.cluster.failures import FailureInjector
 from repro.core.fault import REASON_DEADLINE_EXCEEDED, RetryPolicy
 from repro.core.service import ThriftyService
 from repro.errors import DeploymentError
+from repro.obs import MemorySink, Observer
 from repro.rng import RngFactory
 from repro.units import DAY, HOUR
 from repro.workload.composer import MultiTenantLogComposer
 from repro.workload.generator import SessionLogGenerator
-from tests.conftest import tiny_config
+from tests.conftest import assert_spans_emitted_once, tiny_config
 
 
 def _build_service(config, **service_kwargs):
@@ -180,9 +181,9 @@ class TestGracefulDegradation:
 
 
 class TestChaosHarness:
-    def _chaos_run(self, mtbf_s=6 * HOUR):
+    def _chaos_run(self, mtbf_s=6 * HOUR, observer=None):
         config = tiny_config(num_tenants=12, seed=13)
-        __, service = _build_service(config)
+        __, service = _build_service(config, observer=observer)
         scheduled = service.arm_chaos(mtbf_s, horizon=1 * DAY)
         report = service.replay(until=1 * DAY)
         return service, scheduled, report
@@ -201,6 +202,17 @@ class TestChaosHarness:
         assert scheduled >= 1
         assert service.health.node_failures_handled >= 1
         _books_balance(service, report)
+
+    def test_instrumented_chaos_replay_emits_every_span_once(self):
+        observer = Observer(MemorySink())
+        service, __, report = self._chaos_run(observer=observer)
+        assert service.health.node_failures_handled >= 1
+        sink = observer.memory_sink()
+        assert sink.spans_of("fault")
+        assert len(sink.spans_of("query")) == sum(
+            group.queries_submitted for group in report.group_reports.values()
+        )
+        assert_spans_emitted_once(observer, 1 * DAY)
 
     def test_arm_twice_rejected(self):
         config = tiny_config(num_tenants=12, seed=13)
