@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from ..config import EvaluationConfig, LogGenerationConfig
 from ..errors import ConfigurationError, ReproError
 from ..packing.ffd import ffd_grouping
 from ..packing.livbp import LIVBPwFCProblem
 from ..packing.two_step import two_step_grouping
+from ..parallel import map_in_order
 from ..workload.activity import ActivityMatrix, active_tenant_ratio
 from ..workload.composer import ComposedWorkload, MultiTenantLogComposer
 from ..workload.generator import SessionLibrary, SessionLogGenerator
@@ -32,6 +33,7 @@ __all__ = [
     "build_workload",
     "run_grouping_experiment",
     "sweep_parameter",
+    "sweep_point",
     "DEFAULT_SCALE",
     "SMOKE_SCALE",
     "LARGE_SCALE",
@@ -212,8 +214,8 @@ def run_grouping_experiment(
     """Solve one instance with both heuristics and collect the panels.
 
     Solver timings are measured here with :func:`time.perf_counter` —
-    i.e. *inside* the shard when the experiment runs under the parallel
-    fabric — so aggregated solver time is the cost of the solve itself,
+    i.e. *inside* the worker when the sweep runs on a process pool — so
+    aggregated solver time is the cost of the solve itself,
     not the wall time of a worker pool (which would fold queueing and
     scheduling noise into the §7.3 execution-time panels).
     """
@@ -248,11 +250,29 @@ SWEEP_PARAMETERS = frozenset(
 __all__.append("SWEEP_PARAMETERS")
 
 
+def sweep_point(parameter: str, value: object, scale: BenchScale) -> GroupingRow:
+    """One sweep point: build the workload at ``parameter=value``, solve it.
+
+    Module-level so :func:`~repro.parallel.map_in_order` can ship it to a
+    spawned worker by reference; the worker builds the workload from the
+    config (warming its own process-local cache) instead of receiving it.
+    """
+    config = scale.config(**{parameter: value})
+    workload = build_workload(config, scale.sessions_per_size)
+    return run_grouping_experiment(
+        workload,
+        epoch_size=config.epoch_size_s,
+        replication_factor=config.replication_factor,
+        sla_percent=config.sla_percent,
+        parameter=parameter,
+        value=value,
+    )
+
+
 def sweep_parameter(
     parameter: str,
     values: Sequence[object],
     scale: BenchScale = DEFAULT_SCALE,
-    workload_factory: Optional[Callable[[EvaluationConfig], ComposedWorkload]] = None,
     workers: int = 0,
 ) -> list[GroupingRow]:
     """Run a Table 7.1-style sweep over one parameter.
@@ -261,42 +281,13 @@ def sweep_parameter(
     ``"theta"``, ``"replication_factor"``, ``"sla_percent"``; every other
     parameter stays at the scale's default.
 
-    With ``workers > 0`` the sweep points — which are embarrassingly
-    parallel — run as shards on the :mod:`repro.parallel` fabric, one
-    process pool of that size; the rows come back in value order with
-    identical deterministic fields (:meth:`GroupingRow.identity`) to the
-    serial path.  ``workload_factory`` is a serial-only hook (an arbitrary
-    closure cannot be shipped to a spawned worker).
+    The points run through :func:`~repro.parallel.map_in_order`: in-process
+    with ``workers=0``, otherwise on a spawned pool of that size.  The rows
+    come back in value order with the same deterministic fields
+    (:meth:`GroupingRow.identity`) at any worker count.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ReproError(
             f"unknown sweep parameter {parameter!r}; options: {sorted(SWEEP_PARAMETERS)}"
         )
-    if workers:
-        if workload_factory is not None:
-            raise ReproError(
-                "workload_factory is serial-only; a parallel sweep builds each "
-                "shard's workload from its config inside the worker"
-            )
-        from ..parallel.runner import ProcessPoolRunner
-        from ..parallel.tasks import run_sweep
-
-        return run_sweep(parameter, values, scale, ProcessPoolRunner(max_workers=workers))
-    rows: list[GroupingRow] = []
-    for value in values:
-        config = scale.config(**{parameter: value})
-        if workload_factory is not None:
-            workload = workload_factory(config)
-        else:
-            workload = build_workload(config, scale.sessions_per_size)
-        rows.append(
-            run_grouping_experiment(
-                workload,
-                epoch_size=config.epoch_size_s,
-                replication_factor=config.replication_factor,
-                sla_percent=config.sla_percent,
-                parameter=parameter,
-                value=value,
-            )
-        )
-    return rows
+    return map_in_order(sweep_point, [(parameter, value, scale) for value in values], workers)

@@ -31,7 +31,7 @@ from .analysis.sweeps import (
 )
 from .config import EvaluationConfig
 from .core.service import ThriftyService
-from .errors import ReproError
+from .errors import ConfigurationError, ReproError
 from .mppdb.loading import LoadTimeModel, PAPER_LOAD_TABLE
 from .obs import MemorySink, Observer, load_run_report, write_run_report
 from .units import DAY, format_duration, format_size_gb
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="parallel fabric worker count (0 = in-process serial)",
+        help="worker processes for the sweep points (0 = in-process serial)",
     )
 
     sub.add_parser("loadtimes", help="print the Table 5.1 load-time model")
@@ -241,7 +241,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     caster = int if args.parameter in ("num_tenants", "replication_factor") else float
-    values = [caster(v) for v in args.values]
+    values: list[float] = []
+    for raw in args.values:
+        try:
+            values.append(caster(raw))
+        except ValueError:
+            raise ConfigurationError(
+                f"{args.parameter} value {raw!r} is not a valid {caster.__name__}"
+            ) from None
     rows = sweep_parameter(
         args.parameter, values, scale=_scale_from_args(args), workers=args.workers
     )
@@ -366,20 +373,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             f"  scaling at {format_duration(action.get('start', 0.0))}: "
             f"{attrs.get('policy', '?')} group={attrs.get('group', '?')} "
             f"over_active={attrs.get('over_active', [])}"
-        )
-
-    profile = report.summary.get("profile", {})
-    if profile:
-        print()
-        print(
-            format_table(
-                ["site", "calls", "wall_s"],
-                [
-                    [name, int(entry.get("calls", 0)), f"{entry.get('wall_s', 0.0):.4f}"]
-                    for name, entry in sorted(profile.items())
-                ],
-                title="Profile (wall clock)",
-            )
         )
     return 0
 

@@ -23,7 +23,6 @@ from typing import Sequence
 
 from ..errors import NoHealthyInstanceError, RoutingError
 from ..mppdb.instance import InstanceState, MPPDBInstance
-from ..obs.profiling import profiled
 from ..rng import RngFactory
 
 __all__ = [
@@ -84,7 +83,6 @@ class QueryRouter(abc.ABC):
         """Current pin map (copy)."""
         return dict(self._pinned)
 
-    @profiled("core.routing.route")
     def route(self, tenant_id: int) -> MPPDBInstance:
         """Choose the instance a new query of ``tenant_id`` should run on.
 

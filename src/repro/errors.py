@@ -29,7 +29,6 @@ __all__ = [
     "RetriesExhaustedError",
     "FailoverDeadlineError",
     "ParallelError",
-    "ShardFailedError",
     "LintError",
     "AnalysisError",
     "ObservabilityError",
@@ -120,21 +119,7 @@ class FailoverDeadlineError(FaultError):
 
 
 class ParallelError(ReproError):
-    """The :mod:`repro.parallel` execution fabric was misused or failed."""
-
-
-class ShardFailedError(ParallelError):
-    """A shard exhausted its retry budget (crash, timeout, or task error).
-
-    Carries the :class:`~repro.parallel.shards.ShardSpec` that failed as
-    ``spec`` (self-describing, so the caller can replay exactly the work
-    that failed) and the number of attempts made as ``attempts``.
-    """
-
-    def __init__(self, message: str, spec: object = None, attempts: int = 0) -> None:
-        super().__init__(message)
-        self.spec = spec
-        self.attempts = attempts
+    """:func:`~repro.parallel.map_in_order` was misused or a pooled task failed."""
 
 
 class LintError(ReproError):

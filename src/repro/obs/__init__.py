@@ -12,8 +12,6 @@ measurement plane:
   reconsolidation spans, with deterministic ids.  One :class:`Span`
   object is opened, annotated, finished and kept by the sink
   (:mod:`repro.obs.tracing`).
-* **Profiling** — wall-clock timers and call counters around the packing
-  solvers and the routing hot path (:mod:`repro.obs.profiling`).
 * **Sinks** — pluggable destinations; the default :data:`NULL_SINK`
   makes every instrumentation site a single branch
   (:mod:`repro.obs.sink`).
@@ -33,12 +31,13 @@ Minimal session::
 
 This is the runtime's only telemetry path: overflow, park, retry,
 failover and failure are query-span events and counters, and scale-ups
-are ``scaling`` spans (``MemorySink.spans_of("scaling")``).
+are ``scaling`` spans (``MemorySink.spans_of("scaling")``).  Everything
+here runs on the simulated clock; the host's per-layer wall time is
+measured by perfbench ``--trace 1``.
 """
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .observer import NULL_OBSERVER, Observer
-from .profiling import PROFILER, ProfileRegistry, profiled
 from .report import RunReport, build_summary, load_run_report, write_run_report
 from .sink import (
     MemorySink,
@@ -57,9 +56,6 @@ __all__ = [
     "MetricsRegistry",
     "Observer",
     "NULL_OBSERVER",
-    "PROFILER",
-    "ProfileRegistry",
-    "profiled",
     "RunReport",
     "build_summary",
     "load_run_report",

@@ -25,7 +25,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .profiling import PROFILER, ProfileRegistry
 from .sink import AttrValue, MemorySink, NULL_SINK, ObsEvent, ObsSink
 from .tracing import Tracer
 
@@ -33,17 +32,12 @@ __all__ = ["Observer", "GroupInstruments", "NULL_OBSERVER"]
 
 
 class Observer:
-    """Bundles a sink, a metrics registry, a tracer and the profiler."""
+    """Bundles a sink, a metrics registry and a tracer."""
 
-    def __init__(
-        self,
-        sink: Optional[ObsSink] = None,
-        profiler: Optional[ProfileRegistry] = None,
-    ) -> None:
+    def __init__(self, sink: Optional[ObsSink] = None) -> None:
         self.sink: ObsSink = sink if sink is not None else NULL_SINK
         self.metrics = MetricsRegistry(self.sink)
         self.tracer = Tracer(self.sink)
-        self.profiler: ProfileRegistry = profiler if profiler is not None else PROFILER
 
         m = self.metrics
         #: Queries scheduled into the replay, per tenant group.

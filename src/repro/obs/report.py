@@ -2,11 +2,13 @@
 
 :func:`write_run_report` dumps everything a :class:`~repro.obs.sink.
 MemorySink` collected during a replay into a directory, plus a digested
-``summary.json`` (RT-TTP trajectories, time-weighted concurrency
-histograms, routing-decision counts, SLA violations, scaling actions,
-profiler readings).  The summary is built *only* from the sink contents,
-so any replay instrumented through an :class:`~repro.obs.observer.
-Observer` — CLI, tests, notebooks — exports the same way.
+``summary.json`` with eight sections: ``meta``, ``queries`` (totals),
+``spans`` (counts by status), ``groups`` (per-group totals, RT-TTP
+trajectories, time-weighted concurrency histograms),
+``routing_decisions``, ``scaling_actions``, ``simulator_events`` and
+``faults``.  The summary is built *only* from the sink contents, so any
+replay instrumented through an :class:`~repro.obs.observer.Observer` —
+CLI, tests, notebooks — exports the same way.
 
 :func:`load_run_report` reads a directory back for the ``thrifty obs``
 subcommand and ``examples/observability_demo.py``.
@@ -83,7 +85,6 @@ def _time_weighted_histogram(
 
 def build_summary(
     sink: MemorySink,
-    observer: Optional[Observer] = None,
     horizon: Optional[float] = None,
     simulator_events: Optional[Mapping[str, int]] = None,
     meta: Optional[Mapping[str, object]] = None,
@@ -139,7 +140,7 @@ def build_summary(
         if span.kind == "query":
             query_spans += 1
 
-    summary: dict[str, Any] = {
+    return {
         "meta": dict(meta or {}),
         "queries": {
             "submitted": sum(submitted.values()),
@@ -165,12 +166,6 @@ def build_summary(
             "degraded_seconds_by_instance": dict(sorted(degraded.items())),
         },
     }
-    profiler = observer.profiler if observer is not None else None
-    if profiler is not None:
-        summary["profile"] = {
-            name: entry.as_dict() for name, entry in profiler.snapshot().items()
-        }
-    return summary
 
 
 def write_run_report(
@@ -197,7 +192,6 @@ def write_run_report(
     spans_path = sink.write_spans_jsonl(directory / SPANS_FILENAME)
     summary = build_summary(
         sink,
-        observer=observer,
         horizon=horizon,
         simulator_events=simulator_events,
         meta=meta,

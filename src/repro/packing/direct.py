@@ -24,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..errors import PackingError
-from ..obs.profiling import profiled
 from .livbp import GroupingSolution, LIVBPwFCProblem
 from .minlp import MINLPFormulation
 
@@ -217,7 +216,6 @@ def _repair_assignment(formulation: MINLPFormulation, assignment: np.ndarray) ->
     return [[items[i].tenant_id for i in group] for group in repaired]
 
 
-@profiled("packing.solve_livbp_with_direct")
 def solve_livbp_with_direct(
     problem: LIVBPwFCProblem,
     max_evals: int = 2000,

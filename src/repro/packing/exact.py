@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 from ..errors import PackingError
-from ..obs.profiling import profiled
 from .livbp import TTP_TOL, GroupingSolution, LIVBPwFCProblem
 
 __all__ = ["exact_grouping", "MAX_EXACT_TENANTS"]
@@ -28,7 +27,6 @@ __all__ = ["exact_grouping", "MAX_EXACT_TENANTS"]
 MAX_EXACT_TENANTS = 14
 
 
-@profiled("packing.exact_grouping")
 def exact_grouping(problem: LIVBPwFCProblem, max_tenants: int = MAX_EXACT_TENANTS) -> GroupingSolution:
     """Find a cost-optimal grouping by exhaustive branch-and-bound."""
     items = list(problem.items)

@@ -32,7 +32,6 @@ from typing import Callable
 import numpy as np
 
 from ..errors import PackingError
-from ..obs.profiling import profiled
 from ..workload.activity import ActivityItem
 from .livbp import TTP_TOL, GroupingSolution, LIVBPwFCProblem
 
@@ -100,7 +99,6 @@ class _Bin:
         self.tenant_ids.append(item.tenant_id)
 
 
-@profiled("packing.ffd_grouping")
 def ffd_grouping(
     problem: LIVBPwFCProblem,
     sort_key: str = "activity",

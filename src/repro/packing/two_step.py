@@ -54,7 +54,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..obs.profiling import profiled
 from ..workload.activity import ActivityItem, concurrency_counts
 from .livbp import TTP_TOL, GroupingSolution, LIVBPwFCProblem
 
@@ -194,7 +193,6 @@ def _insert(
     counts[epochs] += 1
 
 
-@profiled("packing.two_step_grouping")
 def two_step_grouping(problem: LIVBPwFCProblem) -> GroupingSolution:
     """Run Algorithm 2 on a LIVBPwFC instance."""
     by_size = initial_groups(problem.items)

@@ -11,7 +11,7 @@ telemetry (spans, counters) lives in :mod:`repro.obs`.
 from .clock import Clock
 from .engine import Simulator
 from .events import Event, EventQueue, ScheduledEvent
-from .metrics import StepSeries, TimeSeries
+from .metrics import StepSeries
 
 __all__ = [
     "Clock",
@@ -19,6 +19,5 @@ __all__ = [
     "Event",
     "EventQueue",
     "ScheduledEvent",
-    "TimeSeries",
     "StepSeries",
 ]

@@ -1,102 +1,19 @@
 """Time-series metric collection.
 
-Two container flavours:
-
-* :class:`TimeSeries` — irregular samples ``(t, value)`` with summary
-  statistics; used for per-query normalized latency (Figure 7.7b/d).
-* :class:`StepSeries` — a piecewise-constant signal changed at known times;
-  used for concurrency levels and RT-TTP curves, where *time-weighted*
-  aggregates (fraction of time above a threshold, time-average) are the
-  meaningful statistics.
+:class:`StepSeries` is a piecewise-constant signal changed at known
+times; it holds concurrency levels and RT-TTP curves, where
+*time-weighted* aggregates (fraction of time above a threshold,
+time-average) are the meaningful statistics.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from ..errors import SimulationError
 
-__all__ = ["TimeSeries", "StepSeries"]
-
-
-class TimeSeries:
-    """Irregularly sampled ``(time, value)`` series with order enforcement."""
-
-    def __init__(self) -> None:
-        self._times: list[float] = []
-        self._values: list[float] = []
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return iter(zip(self._times, self._values))
-
-    def add(self, time: float, value: float) -> None:
-        """Append a sample; times must be non-decreasing."""
-        if self._times and time < self._times[-1]:
-            raise SimulationError(
-                f"samples must be time-ordered: {time!r} < last {self._times[-1]!r}"
-            )
-        self._times.append(float(time))
-        self._values.append(float(value))
-
-    @property
-    def times(self) -> list[float]:
-        """Sample times (copy)."""
-        return list(self._times)
-
-    @property
-    def values(self) -> list[float]:
-        """Sample values (copy)."""
-        return list(self._values)
-
-    def mean(self) -> float:
-        """Arithmetic mean of the sample values."""
-        if not self._values:
-            raise SimulationError("mean() of an empty series")
-        return sum(self._values) / len(self._values)
-
-    def max(self) -> float:
-        """Maximum sample value."""
-        if not self._values:
-            raise SimulationError("max() of an empty series")
-        return max(self._values)
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile ``q`` in [0, 100] of the sample values.
-
-        Nearest-rank assigns rank ``ceil(q/100 * n)``, which is 0 for
-        ``q = 0`` — an undefined rank.  The rank is therefore clamped to
-        1, making ``percentile(0)`` the series **minimum** (by symmetry
-        with ``percentile(100)``, which is the maximum).  The clamp also
-        means every ``q`` small enough that ``ceil(q/100 * n) < 1``
-        returns the minimum, not an interpolated sub-minimum value.
-        """
-        if not self._values:
-            raise SimulationError("percentile() of an empty series")
-        if not (0 <= q <= 100):
-            raise SimulationError(f"percentile must be in [0, 100], got {q!r}")
-        ordered = sorted(self._values)
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        return ordered[rank - 1]
-
-    def fraction_above(self, threshold: float) -> float:
-        """Fraction of samples strictly above ``threshold``."""
-        if not self._values:
-            raise SimulationError("fraction_above() of an empty series")
-        return sum(1 for v in self._values if v > threshold) / len(self._values)
-
-    def window(self, start: float, end: float) -> "TimeSeries":
-        """Samples with ``start <= time < end`` as a new series."""
-        out = TimeSeries()
-        lo = bisect.bisect_left(self._times, start)
-        hi = bisect.bisect_left(self._times, end)
-        for i in range(lo, hi):
-            out.add(self._times[i], self._values[i])
-        return out
+__all__ = ["StepSeries"]
 
 
 class StepSeries:

@@ -1,8 +1,8 @@
 """The checked-in analyzer baseline (gradual adoption).
 
 Interprocedural findings often point at *designed* behaviour — the
-``repro.obs`` profiler reads ``perf_counter`` on purpose; its readings are
-measurement metadata that never feed simulated state.  Such findings are
+packing solvers read ``perf_counter`` on purpose; their ``solve_seconds``
+is measurement metadata that never feeds a grouping decision.  Such findings are
 carried in a baseline file instead of being fixed, one per line:
 
     <fingerprint> | <one-line justification>

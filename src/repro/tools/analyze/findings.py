@@ -43,8 +43,8 @@ class Finding(Violation):
 def relative_path(path: str, root: Path) -> str:
     """``path`` relative to the analyzed package's parent, POSIX-style.
 
-    ``src/repro/obs/profiling.py`` with root ``src/repro`` becomes
-    ``repro/obs/profiling.py`` — stable no matter where the checkout lives
+    ``src/repro/packing/ffd.py`` with root ``src/repro`` becomes
+    ``repro/packing/ffd.py`` — stable no matter where the checkout lives
     or whether the CLI was given ``src`` or ``src/repro``.
     """
     resolved = Path(path).resolve()

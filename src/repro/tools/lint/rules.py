@@ -409,21 +409,20 @@ class EnumValueComparisonRule(Rule):
 
 @register
 class ParallelImportRule(Rule):
-    """THR009 — process pools live only behind the ``repro.parallel`` fabric.
+    """THR009 — process pools live only behind :func:`repro.parallel.map_in_order`.
 
     A raw ``multiprocessing`` / ``concurrent.futures`` pool elsewhere in
-    the library bypasses everything the fabric guarantees: per-shard seed
-    derivation (bit-identical results at any worker count), spawn-safe
-    task references, typed :class:`~repro.errors.ShardFailedError` with
-    retry, and ordered merging of per-shard observability output.  Code
-    that needs cores submits :class:`~repro.parallel.ShardSpec` work to a
-    :class:`~repro.parallel.ProcessPoolRunner` instead.
+    the library bypasses what ``map_in_order`` guarantees: ``spawn``
+    workers (no forked globals or inherited RNG state), results in
+    payload order (the same output at any worker count), and a typed
+    :class:`~repro.errors.ParallelError` naming the payload that failed.
+    Code that needs cores calls ``map_in_order`` instead.
     """
 
     code = "THR009"
     summary = (
         "no direct multiprocessing/concurrent.futures imports outside "
-        "repro.parallel; submit shards to the execution fabric"
+        "repro.parallel; map work with repro.parallel.map_in_order"
     )
 
     _FORBIDDEN_ROOTS = frozenset({"multiprocessing", "concurrent"})
@@ -443,8 +442,7 @@ class ParallelImportRule(Rule):
                         ctx,
                         node,
                         f"direct import of `{module}`; process-level parallelism "
-                        "goes through repro.parallel (ShardPlanner + "
-                        "ProcessPoolRunner) so results stay deterministic and "
-                        "failures stay typed",
+                        "goes through repro.parallel.map_in_order so results "
+                        "stay in order and failures stay typed",
                     )
                     break

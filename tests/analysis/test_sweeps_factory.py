@@ -1,28 +1,8 @@
-"""Sweep-driver edge cases: custom workload factories and row math."""
+"""Sweep-driver row math."""
 
 import pytest
 
-from repro.analysis.sweeps import (
-    SMOKE_SCALE,
-    GroupingRow,
-    build_workload,
-    sweep_parameter,
-)
-
-
-class TestWorkloadFactory:
-    def test_factory_overrides_cache(self):
-        calls = []
-
-        def factory(config):
-            calls.append(config.replication_factor)
-            return build_workload(config, SMOKE_SCALE.sessions_per_size)
-
-        rows = sweep_parameter(
-            "replication_factor", [1, 2], scale=SMOKE_SCALE, workload_factory=factory
-        )
-        assert calls == [1, 2]
-        assert [r.value for r in rows] == [1, 2]
+from repro.analysis.sweeps import GroupingRow
 
 
 class TestGroupingRow:

@@ -21,7 +21,7 @@ from repro.cli import main
 
 #: sha256 of each pinned file of the scenario below.
 GOLDEN = {
-    "summary.json": "1728de24b9b1209b8437401de3fa9a722a799fb372e5d33856a0ac69bdf0a8a1",
+    "summary.json": "fac47a6428391da5f4159ae1c294fbe1a1ace968d6e1c0a8b1b2a91c4e193871",
     "spans.jsonl": "919852fef4f37906c50331c763e0c4c2d993bb433a05debfe7f6786b1c3bc935",
 }
 

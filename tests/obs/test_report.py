@@ -51,7 +51,6 @@ class TestBuildSummary:
         _simulate_small_run(observer)
         summary = build_summary(
             observer.memory_sink(),
-            observer=observer,
             horizon=10.0,
             simulator_events={"query-submit": 3},
             meta={"command": "test"},
@@ -123,11 +122,17 @@ class TestWriteAndLoad:
         with pytest.raises(ObservabilityError):
             load_run_report(tmp_path / "nope")
 
-    def test_profile_section_present_when_captured(self, observer, tmp_path):
+    def test_summary_sections_are_the_documented_set(self, observer, tmp_path):
         _simulate_small_run(observer)
-        with observer.profiler.capture():
-            observer.profiler.record("packing.two_step_grouping", 0.25)
         paths = write_run_report(tmp_path, observer)
         summary = json.loads(paths.summary.read_text())
-        assert summary["profile"]["packing.two_step_grouping"]["calls"] == 1.0
-        observer.profiler.reset()
+        assert sorted(summary) == [
+            "faults",
+            "groups",
+            "meta",
+            "queries",
+            "routing_decisions",
+            "scaling_actions",
+            "simulator_events",
+            "spans",
+        ]

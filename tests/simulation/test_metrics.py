@@ -1,93 +1,9 @@
-"""TimeSeries / StepSeries tests — RT-TTP math depends on these."""
+"""StepSeries tests — RT-TTP math depends on these."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation.metrics import StepSeries, TimeSeries
-
-
-class TestTimeSeries:
-    def test_add_and_iterate(self):
-        series = TimeSeries()
-        series.add(1.0, 10.0)
-        series.add(2.0, 20.0)
-        assert list(series) == [(1.0, 10.0), (2.0, 20.0)]
-        assert len(series) == 2
-
-    def test_order_enforced(self):
-        series = TimeSeries()
-        series.add(5.0, 1.0)
-        with pytest.raises(SimulationError):
-            series.add(4.0, 1.0)
-
-    def test_same_time_allowed(self):
-        series = TimeSeries()
-        series.add(1.0, 1.0)
-        series.add(1.0, 2.0)
-        assert len(series) == 2
-
-    def test_stats(self):
-        series = TimeSeries()
-        for i, v in enumerate([1.0, 3.0, 2.0, 4.0]):
-            series.add(float(i), v)
-        assert series.mean() == pytest.approx(2.5)
-        assert series.max() == 4.0
-        assert series.percentile(50) == 2.0
-        assert series.percentile(100) == 4.0
-        assert series.fraction_above(2.5) == pytest.approx(0.5)
-
-    def test_empty_stats_raise(self):
-        series = TimeSeries()
-        for method in (series.mean, series.max):
-            with pytest.raises(SimulationError):
-                method()
-        with pytest.raises(SimulationError):
-            series.percentile(50)
-        with pytest.raises(SimulationError):
-            series.fraction_above(1.0)
-
-    def test_percentile_bounds(self):
-        series = TimeSeries()
-        series.add(0.0, 1.0)
-        with pytest.raises(SimulationError):
-            series.percentile(101)
-        with pytest.raises(SimulationError):
-            series.percentile(-0.1)
-
-    def test_percentile_zero_is_minimum(self):
-        # Nearest-rank gives rank ceil(0 * n) = 0; the documented clamp to
-        # rank 1 makes percentile(0) the minimum, mirroring percentile(100)
-        # as the maximum.
-        series = TimeSeries()
-        for i, v in enumerate([5.0, 1.0, 3.0]):
-            series.add(float(i), v)
-        assert series.percentile(0) == 1.0
-        assert series.percentile(50) == 3.0
-        assert series.percentile(100) == 5.0
-        # Sub-rank-1 percentiles also clamp to the minimum.
-        assert series.percentile(10) == 1.0
-
-    def test_percentiles_on_single_sample(self):
-        series = TimeSeries()
-        series.add(0.0, 2.5)
-        assert series.percentile(0) == 2.5
-        assert series.percentile(50) == 2.5
-        assert series.percentile(100) == 2.5
-
-    def test_fraction_above_single_sample(self):
-        series = TimeSeries()
-        series.add(0.0, 1.0)
-        # Strictly above: the sample itself does not count at its own value.
-        assert series.fraction_above(0.5) == 1.0
-        assert series.fraction_above(1.0) == 0.0
-        assert series.fraction_above(1.5) == 0.0
-
-    def test_window(self):
-        series = TimeSeries()
-        for t in range(5):
-            series.add(float(t), float(t))
-        windowed = series.window(1.0, 4.0)
-        assert windowed.times == [1.0, 2.0, 3.0]
+from repro.simulation.metrics import StepSeries
 
 
 class TestStepSeries:

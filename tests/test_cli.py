@@ -94,6 +94,15 @@ class TestCommands:
         assert [row[0] for row in serial] == ["60", "600"]
         assert deterministic_rows("2") == serial
 
+    @pytest.mark.parametrize("parameter, value", [("num_tenants", "1.5"), ("theta", "abc")])
+    def test_sweep_malformed_value_is_usage_error(self, capsys, parameter, value):
+        assert main(["sweep", parameter, value, *self._FAST]) == 2
+        assert repr(value) in capsys.readouterr().err
+
+    def test_sweep_negative_workers_is_usage_error(self, capsys):
+        assert main(["sweep", "epoch_size_s", "60", *self._FAST, "--workers", "-1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_replay(self, capsys):
         assert main(["replay", "--replay-days", "0.5", *self._FAST]) == 0
         out = capsys.readouterr().out

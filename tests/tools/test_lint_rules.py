@@ -500,7 +500,7 @@ class TestTHR009ParallelImport:
     def test_quiet_inside_repro_parallel(self, tmp_path):
         good = _lint_snippet(
             tmp_path,
-            "src/repro/parallel/runner.py",
+            "src/repro/parallel/__init__.py",
             """
             import concurrent.futures
             import multiprocessing
@@ -514,10 +514,10 @@ class TestTHR009ParallelImport:
             tmp_path,
             "src/repro/analysis/good_pool.py",
             """
-            from repro.parallel import ProcessPoolRunner
+            from repro.parallel import map_in_order
 
-            def fan_out(n: int) -> ProcessPoolRunner:
-                return ProcessPoolRunner(max_workers=n)
+            def fan_out(n: int) -> list[tuple[int, int]]:
+                return map_in_order(divmod, [(7, 2), (9, 4)], n)
             """,
             select="THR009",
         )
