@@ -138,13 +138,6 @@ class GroupActivityMonitor:
             return 1.0
         return self._concurrency.fraction_time_at_most(self.replication_factor, start, now)
 
-    def max_concurrent(self, now: float, window_s: float = DAY) -> int:
-        """Maximum concurrent-active count over the past window."""
-        start = max(self._start_time, now - window_s)
-        if now <= start:
-            return 0
-        return int(self._concurrency.max_over(start, now))
-
     def tenant_busy_intervals(self, tenant_id: int, start: float, end: float) -> list[tuple[float, float]]:
         """A tenant's merged busy intervals clipped to ``[start, end)``."""
         if tenant_id not in self._nodes_of:
@@ -190,13 +183,6 @@ class TenantActivityMonitor:
         self._replication_factor = replication_factor
         self._start_time = start_time
         self._groups: dict[str, GroupActivityMonitor] = {}
-        self._observer: Optional["Observer"] = None
-
-    def observe_with(self, observer: "Observer") -> None:
-        """Attach an observer to all current and future group monitors."""
-        self._observer = observer
-        for monitor in self._groups.values():
-            monitor.observe_with(observer)
 
     def group(self, group_name: str) -> GroupActivityMonitor:
         """Get (or lazily create) a group's monitor."""
@@ -205,19 +191,9 @@ class TenantActivityMonitor:
             monitor = GroupActivityMonitor(
                 group_name, self._replication_factor, self._start_time
             )
-            if self._observer is not None:
-                monitor.observe_with(self._observer)
             self._groups[group_name] = monitor
         return monitor
 
     def groups(self) -> dict[str, GroupActivityMonitor]:
         """All group monitors (copy)."""
         return dict(self._groups)
-
-    def groups_below_sla(self, now: float, sla_fraction: float, window_s: float = DAY) -> list[str]:
-        """Group names whose RT-TTP over the window dropped below ``P``."""
-        return [
-            name
-            for name, monitor in sorted(self._groups.items())
-            if monitor.rt_ttp(now, window_s) < sla_fraction
-        ]

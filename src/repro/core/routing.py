@@ -174,8 +174,6 @@ class AlwaysTuningRouter(QueryRouter):
     """Ablation: everything goes to MPPDB_0 (no replication benefit)."""
 
     def _choose(self, tenant_id: int, candidates: list[MPPDBInstance]) -> MPPDBInstance:
-        if candidates[0] is self.tuning_instance:
-            return candidates[0]
         return candidates[0]
 
 

@@ -7,15 +7,9 @@ produces the observed latency, the Tenant Activity Monitor tracks the
 group's concurrent-active count and RT-TTP, and the scaling policy reacts
 when the RT-TTP dips below ``P``.
 
-Two replay disciplines are supported:
-
-* **open-loop** (default) — submissions happen at their logged times even
-  when earlier queries run slow; simple and reproducible.
-* **closed-loop** (``closed_loop=True``) — the §7.1 user semantics are
-  honoured during replay: each user's next event (single query or whole
-  batch) waits for the previous one to *complete* plus the original think
-  gap, so slowdowns push later submissions back exactly as the paper's
-  imitated tenants would experience them.
+Replay is open loop, as in the paper's §7 replays: every submission happens
+at its logged time, even when earlier queries run slow, so a slowdown shows
+up as latency and never shifts the submission timeline.
 
 SLA baselines: a logged query's before-consolidation latency *is* its SLA
 (§1.1), so the baseline is the latency recorded during Step 1 log
@@ -25,7 +19,7 @@ collection on the tenant's dedicated, exactly-sized MPPDB.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional
 
 import numpy as np
 
@@ -59,39 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a layer cycle)
 __all__ = ["GroupRuntime", "RuntimeReport"]
 
 
-class _ClosedLoopChain:
-    """One user's closed-loop event chain.
-
-    An *event* is a single query or one batch (records sharing a
-    ``batch_id``), matching §7.1's user behaviour: "The user will not take
-    any action until the single query or the query batch is complete",
-    then thinks for the gap observed in the baseline log.
-    """
-
-    def __init__(self, tenant_id: int, events: list[list[QueryRecord]], until: float) -> None:
-        self.tenant_id = tenant_id
-        self.events = events
-        self.until = until
-        self.index = 0
-        self.outstanding = 0
-        # Baseline think gap before each event (clamped at zero).
-        self.gaps: list[float] = []
-        previous_finish: Optional[float] = None
-        for event in events:
-            first_submit = event[0].submit_time_s
-            if previous_finish is None:
-                self.gaps.append(0.0)
-            else:
-                self.gaps.append(max(0.0, first_submit - previous_finish))
-            previous_finish = max(r.finish_time_s for r in event)
-
-    def current_event(self) -> list[QueryRecord]:
-        return self.events[self.index]
-
-    def has_more(self) -> bool:
-        return self.index < len(self.events)
-
-
 @dataclass(slots=True, eq=False)
 class _QueryState:
     """One logged query's run-time state, from first submission to terminal.
@@ -109,7 +70,6 @@ class _QueryState:
     attempts: int = 0
     failed_instance: Optional[str] = None
     deadline: Optional[ScheduledEvent] = None
-    chain: Optional[_ClosedLoopChain] = None
     span: Optional[Span] = None
 
 
@@ -153,7 +113,6 @@ class GroupRuntime:
         router: Optional[QueryRouter] = None,
         scaling: Optional[ScalingPolicy] = None,
         monitor_interval_s: float = 10 * MINUTE,
-        closed_loop: bool = False,
         observer: Optional[Observer] = None,
         fault: Optional[RetryPolicy] = None,
         health: Optional["HealthManager"] = None,
@@ -194,7 +153,6 @@ class GroupRuntime:
         self._parked: dict[_QueryState, None] = {}
         self._fault = fault if fault is not None else DEFAULT_RETRY_POLICY
         self._fault_rng = fault_rng
-        self._health = health
         self._retried = 0
         self._failed_count = 0
         self._failovers = 0
@@ -203,16 +161,13 @@ class GroupRuntime:
             health.on_recover(self._on_instance_recovered)
         for spec in deployed.deployment.tenants:
             self._monitor.register_tenant(spec.tenant_id, spec.nodes_requested)
-        self._wire_completions(deployed.instances)
-        self._wired: set[MPPDBInstance] = set(deployed.instances)
+        # Instances this runtime has sent a query to (see _wire_instance).
+        self._wired: set[MPPDBInstance] = set()
         self._scheduled = False
-        self._closed_loop = bool(closed_loop)
         self._observer = observer if observer is not None else NULL_OBSERVER
         if self._observer.enabled:
             self._metrics = self._observer.bind_group(deployed.group_name)
             self._monitor.observe_with(self._observer)
-            for instance in self._wired:
-                instance.engine.observe_with(self._observer, instance.name)
 
     @property
     def monitor(self) -> GroupActivityMonitor:
@@ -224,37 +179,37 @@ class GroupRuntime:
         """The group's query router."""
         return self._router
 
-    def _wire_completions(self, instances: Sequence[MPPDBInstance]) -> None:
-        for instance in instances:
-            self._wire_instance(instance)
-
     def _wire_instance(self, instance: MPPDBInstance) -> None:
-        def _done(execution: QueryExecution, _instance: MPPDBInstance = instance) -> None:
-            state = self._inflight.pop((_instance.name, execution.query_id), None)
+        """Hook this runtime onto an instance it is about to use for the first time.
+
+        Registers the completion and abort callbacks and, when observing,
+        binds the engine's metric handles.  An instance that never receives
+        a query from this runtime runs none of its queries, so it needs
+        neither.
+        """
+        def _done(execution: QueryExecution) -> None:
+            state = self._inflight.pop((instance.name, execution.query_id), None)
             if state is None:
                 return
             finish = execution.finish_time if execution.finish_time is not None else 0.0
-            self._settle(state, _instance.name, finish)
+            self._settle(state, instance.name, finish)
 
-        def _aborted(execution: QueryExecution, _instance: MPPDBInstance = instance) -> None:
-            self._on_abort(execution, _instance)
+        def _aborted(execution: QueryExecution) -> None:
+            self._on_abort(execution, instance)
 
         instance.engine.on_complete(_done)
         instance.engine.on_abort(_aborted)
+        if self._observer.enabled:
+            instance.engine.observe_with(self._observer, instance.name)
+        self._wired.add(instance)
 
-    def _submit(
-        self,
-        tenant_id: int,
-        record: QueryRecord,
-        time: float,
-        chain: Optional[_ClosedLoopChain] = None,
-    ) -> None:
+    def _submit(self, tenant_id: int, record: QueryRecord, time: float) -> None:
         """First submission of a logged query: open its state, then dispatch.
 
         Submission metrics and the lifecycle span are created here exactly
         once, however many retries or park episodes follow.
         """
-        state = _QueryState(tenant_id, record, time, chain=chain)
+        state = _QueryState(tenant_id, record, time)
         self._live[state] = None
         observer = self._observer
         if observer.enabled:
@@ -288,9 +243,6 @@ class GroupRuntime:
         failed_from, state.failed_instance = state.failed_instance, None
         if instance not in self._wired:
             self._wire_instance(instance)
-            self._wired.add(instance)
-            if observer.enabled:
-                instance.engine.observe_with(observer, instance.name)
         span = state.span
         if failed_from is not None and instance.name != failed_from:
             self._failovers += 1
@@ -337,72 +289,6 @@ class GroupRuntime:
             self._settle(state, instance.name, time)
         else:
             self._inflight[(instance.name, execution.query_id)] = state
-
-    def _schedule_closed_loop(self, tenant_id: int, log: TenantLog, until: float) -> int:
-        """Build per-user event chains and schedule each chain's first event."""
-        per_user: dict[int, list[QueryRecord]] = {}
-        for record in log.records:
-            per_user.setdefault(record.user, []).append(record)
-        count = 0
-        for user, records in sorted(per_user.items()):
-            events: list[list[QueryRecord]] = []
-            for record in records:
-                same_batch = (
-                    events
-                    and record.batch_id >= 0
-                    and events[-1][0].batch_id == record.batch_id
-                )
-                if same_batch:
-                    events[-1].append(record)
-                else:
-                    events.append([record])
-            chain = _ClosedLoopChain(tenant_id, events, until)
-            count += sum(
-                len(e) for e in events if e[0].submit_time_s < until
-            )
-            first_time = events[0][0].submit_time_s
-            if first_time < until:
-                self._sim.schedule(
-                    first_time,
-                    lambda t, _chain=chain: self._submit_event(_chain, t),
-                    label="closed-loop-event",
-                )
-        return count
-
-    def _submit_event(self, chain: _ClosedLoopChain, time: float) -> None:
-        """Submit every record of the chain's current event."""
-        event = chain.current_event()
-        base = event[0].submit_time_s
-        chain.outstanding = len(event)
-        for record in event:
-            offset = record.submit_time_s - base
-            if offset <= 0:
-                self._submit(chain.tenant_id, record, time, chain)
-            else:
-                self._sim.schedule(
-                    time + offset,
-                    lambda t, _r=record, _c=chain: self._submit(_c.tenant_id, _r, t, _c),
-                    label="closed-loop-batch",
-                )
-
-    def _advance_chain(self, state: _QueryState, time: float) -> None:
-        """Advance the query's closed-loop chain, if any."""
-        chain = state.chain
-        if chain is None:
-            return
-        chain.outstanding -= 1
-        if chain.outstanding > 0:
-            return
-        chain.index += 1
-        if not chain.has_more():
-            return
-        next_time = time + chain.gaps[chain.index]
-        if next_time < chain.until:
-            self._sim.schedule(
-                next_time,
-                lambda t, _chain=chain: self._submit_event(_chain, t),
-                label="closed-loop-event",
-            )
 
     def _on_abort(self, execution: QueryExecution, instance: MPPDBInstance) -> None:
         """An instance failure killed this in-flight query; retry or fail.
@@ -472,8 +358,13 @@ class GroupRuntime:
         self._fail(state, time, REASON_DEADLINE_EXCEEDED)
 
     def _on_instance_recovered(self, instance: MPPDBInstance, time: float) -> None:
-        """Health-manager recovery: drain the park queue through the router."""
-        if not self._parked:
+        """Health-manager recovery: drain the park queue through the router.
+
+        Only a recovery of one of this group's own instances can make a
+        parked query routable; another group's recovery leaves the queue
+        (and the parked spans) untouched.
+        """
+        if not self._parked or instance not in self._router.instances:
             return
         pending = list(self._parked)
         self._parked.clear()
@@ -513,7 +404,6 @@ class GroupRuntime:
                 span.set_attr("normalized", round(sla_record.normalized, 9))
                 span.add_event(finish, status)
                 span.finish(finish, status=status)
-        self._advance_chain(state, finish)
 
     def _fail(self, state: _QueryState, time: float, reason: str) -> None:
         """Terminal: surface a query that fault handling could not save."""
@@ -539,7 +429,6 @@ class GroupRuntime:
         if span is not None:
             span.add_event(time, "failed", reason=reason, attempts=attempts)
             span.finish(time, status="failed")
-        self._advance_chain(state, time)
 
     def finalize_observation(self, time: float) -> None:
         """Close the replay's telemetry at the horizon.
@@ -582,10 +471,8 @@ class GroupRuntime:
     def schedule(self, until: float) -> int:
         """Schedule all log submissions and periodic checks up to ``until``.
 
-        Returns the number of queries scheduled (for closed-loop mode, the
-        number the baseline timeline would submit — slow runs may defer
-        some past ``until``).  Call once, then run the simulator (directly
-        or via :meth:`run`).
+        Returns the number of queries scheduled.  Call once, then run the
+        simulator (directly or via :meth:`run`).
         """
         if self._scheduled:
             raise DeploymentError("schedule() called twice")
@@ -593,9 +480,6 @@ class GroupRuntime:
         count = 0
         for tenant_id, log in sorted(self._logs.items()):
             if tenant_id not in self._deployed.deployment.placement.tenant_ids:
-                continue
-            if self._closed_loop:
-                count += self._schedule_closed_loop(tenant_id, log, until)
                 continue
             for record in log.records:
                 if record.submit_time_s >= until:

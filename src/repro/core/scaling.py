@@ -54,6 +54,13 @@ __all__ = [
     "DisabledScaling",
 ]
 
+#: A tenant is *over-active* when its window activity exceeds its
+#: historical activity by this factor.  2.5 clears the natural variance
+#: between a single workday window and the horizon-average history
+#: (weekends alone make a workday ~1.4x the average) while still catching
+#: runaway tenants (a taken-over tenant is typically 5-10x its history).
+OVER_ACTIVITY_RATIO = 2.5
+
 
 @dataclass(frozen=True)
 class ScalingAction:
@@ -189,15 +196,8 @@ class LightweightScaling(ScalingPolicy):
         tenant(s) that are more active than the history indicated" — by
         evicting tenants in decreasing order of recent-to-historical
         activity ratio, stopping once the remaining tenants behave like
-        their history (ratio <= ``over_activity_ratio``).  Without it,
+        their history (ratio <= :data:`OVER_ACTIVITY_RATIO`).  Without it,
         eviction falls back to most-recent-activity-first.
-    over_activity_ratio:
-        A tenant is *over-active* when its window activity exceeds its
-        historical activity by this factor.  The default (2.5) clears the
-        natural variance between a single workday window and the
-        horizon-average history (weekends alone make a workday ~1.4x the
-        average) while still catching runaway tenants (a taken-over tenant
-        is typically 5-10x its history).
     """
 
     def __init__(
@@ -205,13 +205,9 @@ class LightweightScaling(ScalingPolicy):
         window_s: float = DAY,
         identification_epoch_s: float = 10.0,
         historical_fraction: Optional[dict[int, float]] = None,
-        over_activity_ratio: float = 2.5,
     ) -> None:
         super().__init__(window_s=window_s, identification_epoch_s=identification_epoch_s)
-        if over_activity_ratio <= 1.0:
-            raise ScalingError("over_activity_ratio must exceed 1.0")
         self.historical_fraction = dict(historical_fraction or {})
-        self.over_activity_ratio = float(over_activity_ratio)
 
     def _deviation_ratio(self, item: ActivityItem, window_epochs: int) -> float:
         recent = item.active_epoch_count / max(window_epochs, 1)
@@ -259,7 +255,7 @@ class LightweightScaling(ScalingPolicy):
                     it.tenant_id,
                 ),
             )
-            if over_active and self._deviation_ratio(candidate, d) <= self.over_activity_ratio:
+            if over_active and self._deviation_ratio(candidate, d) <= OVER_ACTIVITY_RATIO:
                 # Everyone left matches their history; evicting more would
                 # punish well-behaved tenants for the window being tighter
                 # than the planning horizon.  Re-consolidation handles the
@@ -410,7 +406,6 @@ class ProactiveScaling(LightweightScaling):
         window_s: float = DAY,
         identification_epoch_s: float = 10.0,
         historical_fraction: Optional[dict[int, float]] = None,
-        over_activity_ratio: float = 2.5,
         lead_time_s: float = 4 * 3600.0,
         min_samples: int = 4,
     ) -> None:
@@ -418,7 +413,6 @@ class ProactiveScaling(LightweightScaling):
             window_s=window_s,
             identification_epoch_s=identification_epoch_s,
             historical_fraction=historical_fraction,
-            over_activity_ratio=over_activity_ratio,
         )
         if lead_time_s <= 0:
             raise ScalingError("lead_time_s must be positive")

@@ -138,7 +138,6 @@ class ThriftyService:
         self.monitor = TenantActivityMonitor(config.replication_factor)
         self.observer = observer if observer is not None else NULL_OBSERVER
         if self.observer.enabled:
-            self.monitor.observe_with(self.observer)
             self.simulator.enable_event_accounting()
         self._scaling_name = scaling
         self._monitor_interval = monitor_interval_s

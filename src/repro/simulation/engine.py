@@ -2,8 +2,8 @@
 
 :class:`Simulator` owns the clock and the event queue, and exposes the
 standard run loop: schedule callbacks at absolute times or after delays,
-then :meth:`Simulator.run` until the queue drains (or until a time bound or
-an event budget is hit).  Callbacks may schedule further events; scheduling
+then :meth:`Simulator.run` until the queue drains (or until a time bound is
+hit).  Callbacks may schedule further events; scheduling
 in the past raises.
 
 The MPPDB execution model additionally needs to *reschedule* in-flight
@@ -14,7 +14,7 @@ events (a query's completion moves when the concurrency level changes), so
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Optional
 
 from ..errors import SimulationError
 from .clock import Clock
@@ -68,7 +68,6 @@ class Simulator:
         time: float,
         callback: EventCallback,
         label: str = "",
-        payload: Any = None,
     ) -> ScheduledEvent:
         """Schedule ``callback`` at absolute simulated ``time``.
 
@@ -78,30 +77,19 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time!r}, which is before the current time {self.clock.now!r}"
             )
-        return self._queue.push(Event(time=time, callback=callback, label=label, payload=payload))
+        return self._queue.push(Event(time=time, callback=callback, label=label))
 
     def schedule_after(
-        self,
-        delay: float,
-        callback: EventCallback,
-        label: str = "",
-        payload: Any = None,
+        self, delay: float, callback: EventCallback, label: str = ""
     ) -> ScheduledEvent:
         """Schedule ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay!r}")
-        return self.schedule(self.clock.now + delay, callback, label=label, payload=payload)
+        return self.schedule(self.clock.now + delay, callback, label=label)
 
     def cancel(self, handle: ScheduledEvent) -> None:
         """Cancel a scheduled event (idempotent)."""
         self._queue.cancel(handle)
-
-    def step(self) -> Optional[Event]:
-        """Fire the single next event; return it, or ``None`` when idle."""
-        event = self._queue.pop_due(math.inf)
-        if event is not None:
-            self._fire(event)
-        return event
 
     def _fire(self, event: Event) -> None:
         self.clock.advance_to(event.time)
@@ -112,10 +100,9 @@ class Simulator:
             counts[label] = counts.get(label, 0) + 1
         event.callback(event.time)
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` have fired in this call.  Returns the number of events
-        fired by this call.
+    def run(self, until: Optional[float] = None) -> int:
+        """Run events until the queue drains or ``until`` is reached.
+        Returns the number of events fired by this call.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         after the last earlier event, so time-based metrics close cleanly.
@@ -127,9 +114,8 @@ class Simulator:
         pop_due = self._queue.pop_due
         fire = self._fire
         limit = math.inf if until is None else until
-        budget = math.inf if max_events is None else max_events
         try:
-            while fired < budget:
+            while True:
                 event = pop_due(limit)
                 if event is None:
                     break

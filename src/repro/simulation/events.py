@@ -1,17 +1,16 @@
 """Event primitives for the discrete-event engine.
 
 Events carry a fire time, an insertion-order sequence number (ties are
-broken FIFO so the simulation is deterministic), a callback, and an optional
-payload.  :class:`EventQueue` is a thin heap wrapper that supports lazy
-cancellation, which the MPPDB simulator uses to reschedule query-completion
-events when the concurrency level on an instance changes.
+broken FIFO so the simulation is deterministic), a callback, and a label.
+:class:`EventQueue` is a thin heap wrapper that supports lazy cancellation,
+which the MPPDB simulator uses to reschedule query-completion events when
+the concurrency level on an instance changes.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, cast
 
@@ -30,7 +29,6 @@ class Event:
     time: float
     callback: EventCallback
     label: str = ""
-    payload: Any = None
 
 
 class ScheduledEvent(list[Any]):
@@ -103,20 +101,6 @@ class EventQueue:
             entry.cancel()
             self._live -= 1
 
-    def peek_time(self) -> Optional[float]:
-        """Fire time of the next live event, or ``None`` when empty."""
-        heap = self._heap
-        while heap and heap[0][3]:
-            heapq.heappop(heap)
-        return heap[0].time if heap else None
-
-    def pop(self) -> Event:
-        """Remove and return the next live event."""
-        event = self.pop_due(math.inf)
-        if event is None:
-            raise SimulationError("pop() from an empty event queue")
-        return event
-
     def pop_due(self, until: float) -> Optional[Event]:
         """Remove and return the next live event if it fires at or before
         ``until``; otherwise leave the queue as it is and return ``None``."""
@@ -133,8 +117,3 @@ class EventQueue:
                 event: Event = entry[2]
                 return event
         return None
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self._heap.clear()
-        self._live = 0

@@ -2,14 +2,14 @@
 
 :class:`StepSeries` is a piecewise-constant signal changed at known
 times; it holds concurrency levels and RT-TTP curves, where
-*time-weighted* aggregates (fraction of time above a threshold,
-time-average) are the meaningful statistics.
+*time-weighted* aggregates (the fraction of time above a threshold) are
+the meaningful statistics.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ..errors import SimulationError
 
@@ -71,10 +71,6 @@ class StepSeries:
         """Iterate the ``(time, value)`` change points."""
         return zip(self._times, self._values)
 
-    def time_weighted_mean(self, start: float, end: float) -> float:
-        """Time-average of the signal over ``[start, end)``."""
-        return self._integrate(start, end, lambda v: v) / self._length(start, end)
-
     def fraction_time_above(self, threshold: float, start: float, end: float) -> float:
         """Fraction of ``[start, end)`` the signal spends strictly above ``threshold``.
 
@@ -84,7 +80,8 @@ class StepSeries:
         exact ``0.0``, so the sum is bit-identical to a fold over every
         segment of the window.
         """
-        length = self._length(start, end)
+        if end <= start:
+            raise SimulationError(f"empty window [{start!r}, {end!r})")
         above = self._above.get(threshold)
         if above is None:
             above = [i for i, v in enumerate(self._values) if v > threshold]
@@ -100,7 +97,7 @@ class StepSeries:
                 break
             seg_end = times[i + 1] if i < last else end
             total += (seg_end if seg_end < end else end) - seg_start
-        return total / length
+        return total / (end - start)
 
     def fraction_time_at_most(self, threshold: float, start: float, end: float) -> float:
         """Fraction of ``[start, end)`` with the signal ``<= threshold``.
@@ -109,38 +106,3 @@ class StepSeries:
         tenant group's concurrent-active-tenant count and ``threshold = R``.
         """
         return 1.0 - self.fraction_time_above(threshold, start, end)
-
-    def max_over(self, start: float, end: float) -> float:
-        """Maximum signal value attained over ``[start, end)``."""
-        if end <= start:
-            raise SimulationError(f"empty window [{start!r}, {end!r})")
-        lo = bisect.bisect_right(self._times, start) - 1
-        hi = bisect.bisect_left(self._times, end)
-        lo = max(lo, 0)
-        return max(self._values[lo:hi] or [self._values[lo]])
-
-    def _length(self, start: float, end: float) -> float:
-        if end <= start:
-            raise SimulationError(f"empty window [{start!r}, {end!r})")
-        return end - start
-
-    def _integrate(self, start: float, end: float, f: Callable[[float], float]) -> float:
-        if end <= start:
-            raise SimulationError(f"empty window [{start!r}, {end!r})")
-        total = 0.0
-        times = self._times
-        values = self._values
-        idx = max(bisect.bisect_right(times, start) - 1, 0)
-        t = start
-        while t < end:
-            seg_end = times[idx + 1] if idx + 1 < len(times) else end
-            seg_end = min(seg_end, end)
-            if seg_end > t:
-                total += f(values[idx]) * (seg_end - t)
-            t = seg_end
-            idx += 1
-            if idx >= len(times):
-                break
-        if t < end:
-            total += f(values[-1]) * (end - t)
-        return total

@@ -66,13 +66,6 @@ class TestRTTTP:
     def test_zero_length_window(self, monitor):
         assert monitor.rt_ttp(0.0) == 1.0
 
-    def test_max_concurrent(self, monitor):
-        for tid in (1, 2, 3, 4):
-            monitor.on_query_start(tid, 10.0)
-        for tid in (1, 2, 3, 4):
-            monitor.on_query_finish(tid, 20.0)
-        assert monitor.max_concurrent(100.0) == 4
-
 
 class TestIntervalsAndItems:
     def test_tenant_busy_intervals(self, monitor):
@@ -149,19 +142,3 @@ class TestServiceWideMonitor:
         a = service.group("tg0")
         assert service.group("tg0") is a
         assert set(service.groups()) == {"tg0"}
-
-    def test_groups_below_sla(self):
-        service = TenantActivityMonitor(replication_factor=1)
-        good = service.group("good")
-        bad = service.group("bad")
-        for m in (good, bad):
-            m.register_tenant(1, 2)
-            m.register_tenant(2, 2)
-        # 'bad' has two tenants concurrently active half the time.
-        bad.on_query_start(1, 0.0)
-        bad.on_query_start(2, 0.0)
-        bad.on_query_finish(1, 500.0)
-        bad.on_query_finish(2, 500.0)
-        good.on_query_start(1, 0.0)
-        good.on_query_finish(1, 500.0)
-        assert service.groups_below_sla(1000.0, sla_fraction=0.99, window_s=1000.0) == ["bad"]

@@ -74,7 +74,7 @@ class TestMonitorInvariants:
     @settings(max_examples=60, deadline=None)
     def test_max_concurrent_bounded_by_tenants(self, script):
         monitor, horizon = _play(script)
-        peak = monitor.max_concurrent(horizon, window_s=horizon)
+        peak = max(value for _, value in monitor.concurrency.changes())
         assert 0 <= peak <= _NUM_TENANTS
 
     @given(_SCRIPTS)

@@ -16,6 +16,25 @@ from repro.workload.queries import template_by_name
 from repro.workload.tenant import TenantSpec
 
 
+def _deploy_group(provisioner, name, tenants, num_instances, tuning_parallelism=None):
+    design, placement = design_for_group(
+        name, tenants, num_instances=num_instances, tuning_parallelism=tuning_parallelism
+    )
+    instances = tuple(
+        provisioner.provision(
+            parallelism=design.instance_parallelism(i),
+            tenants=[t.as_tenant_data() for t in tenants],
+            name=instance_name,
+            instant=True,
+        )
+        for i, instance_name in enumerate(design.instance_names())
+    )
+    return DeployedGroup(
+        deployment=GroupDeployment(design=design, placement=placement, tenants=tenants),
+        instances=instances,
+    )
+
+
 def _deploy(num_tenants=4, nodes=2, num_instances=3, tuning_parallelism=None, data_gb=None):
     sim = Simulator()
     provisioner = Provisioner(sim)
@@ -27,22 +46,7 @@ def _deploy(num_tenants=4, nodes=2, num_instances=3, tuning_parallelism=None, da
         )
         for i in range(1, num_tenants + 1)
     )
-    design, placement = design_for_group(
-        "tg0", tenants, num_instances=num_instances, tuning_parallelism=tuning_parallelism
-    )
-    instances = tuple(
-        provisioner.provision(
-            parallelism=design.instance_parallelism(i),
-            tenants=[t.as_tenant_data() for t in tenants],
-            name=name,
-            instant=True,
-        )
-        for i, name in enumerate(design.instance_names())
-    )
-    deployed = DeployedGroup(
-        deployment=GroupDeployment(design=design, placement=placement, tenants=tenants),
-        instances=instances,
-    )
+    deployed = _deploy_group(provisioner, "tg0", tenants, num_instances, tuning_parallelism)
     return sim, provisioner, deployed, tenants
 
 
@@ -122,6 +126,25 @@ class TestReplayBasics:
         assert report.sla.fraction_met == 1.0
         assert report.overflow_queries == 0
 
+    def test_open_loop_does_not_defer(self):
+        # A tenant's second query is submitted at its logged time even
+        # though the first is still running.
+        sim, provisioner, deployed, tenants = _deploy(num_tenants=4)
+        q = _q1_latency(2)
+        chain = [
+            QueryRecord(submit_time_s=100.0, latency_s=q, template="tpch.q1"),
+            QueryRecord(submit_time_s=100.0 + q / 2, latency_s=q, template="tpch.q1"),
+        ]
+        logs = {
+            spec.tenant_id: TenantLog(spec, chain if spec.tenant_id == 1 else [])
+            for spec in tenants
+        }
+        runtime = GroupRuntime(deployed, logs, sim, provisioner, sla_fraction=0.999)
+        report = runtime.run(until=100_000.0)
+        # Both run concurrently on the same instance (tenant affinity) and
+        # interfere with each other.
+        assert any(r.normalized > 1.0 for r in report.sla.records)
+
 
 class TestMonitoringDuringReplay:
     def test_rt_ttp_sampled(self):
@@ -139,7 +162,7 @@ class TestMonitoringDuringReplay:
         logs = {t.tenant_id: _log(t, [0.0]) for t in tenants}
         runtime = GroupRuntime(deployed, logs, sim, provisioner, sla_fraction=0.999)
         runtime.run(until=10_000.0)
-        assert runtime.monitor.max_concurrent(10_000.0, window_s=10_000.0) == 2
+        assert max(value for _, value in runtime.monitor.concurrency.changes()) == 2
 
 
 class TestElasticScalingDuringReplay:
@@ -178,7 +201,7 @@ class TestElasticScalingDuringReplay:
 class TestZeroWorkQuery:
     """A query with no work completes inside ``submit_query`` itself."""
 
-    def _replay(self, submits, closed_loop=False):
+    def _replay(self, submits):
         # No data means no work: the engine finishes the query on admission.
         sim, provisioner, deployed, tenants = _deploy(data_gb=0.0)
         logs = {t.tenant_id: _log(t, submits if t.tenant_id == 1 else []) for t in tenants}
@@ -189,7 +212,6 @@ class TestZeroWorkQuery:
             sim,
             provisioner,
             sla_fraction=0.999,
-            closed_loop=closed_loop,
             observer=Observer(sink),
         )
         return runtime.run(until=1000.0), runtime, sink
@@ -206,15 +228,65 @@ class TestZeroWorkQuery:
         assert [e.name for e in span.events][-1] == "complete"
         assert span.start == span.end == 100.0
 
-    def test_advances_its_closed_loop_chain(self):
-        # Each completion must schedule the user's next event; a chain that
-        # stalled would submit only the first of the three queries.
-        report, runtime, sink = self._replay([100.0, 200.0, 300.0], closed_loop=True)
-        assert report.queries_completed == 3
-        assert [r.submit_time_s for r in report.sla.records] == [100.0, 200.0, 300.0]
-        assert all(r.observed_latency_s == 0.0 for r in report.sla.records)
-        assert [s.status for s in sink.spans_of("query")] == ["complete"] * 3
-        assert not runtime._live
+
+class TestParkDrain:
+    """A group drains its park queue only when one of its own instances recovers."""
+
+    class _Health:
+        """Stands in for the health manager: fires recoveries on demand."""
+
+        def __init__(self):
+            self.handlers = []
+
+        def on_recover(self, handler):
+            self.handlers.append(handler)
+
+        def recover(self, instance, time):
+            for handler in self.handlers:
+                handler(instance, time)
+
+    def test_other_groups_recovery_leaves_parked_queries_alone(self):
+        sim = Simulator()
+        provisioner = Provisioner(sim)
+        health = self._Health()
+        spec_a = TenantSpec(tenant_id=1, nodes_requested=2, data_gb=200.0)
+        spec_b = TenantSpec(tenant_id=2, nodes_requested=2, data_gb=200.0)
+        group_a = _deploy_group(provisioner, "ga", (spec_a,), num_instances=1)
+        group_b = _deploy_group(provisioner, "gb", (spec_b,), num_instances=1)
+        runtime_a = GroupRuntime(
+            group_a, {1: _log(spec_a, [])}, sim, provisioner, sla_fraction=0.999, health=health
+        )
+        sink = MemorySink()
+        runtime_b = GroupRuntime(
+            group_b,
+            {2: _log(spec_b, [100.0, 200.0])},
+            sim,
+            provisioner,
+            sla_fraction=0.999,
+            observer=Observer(sink),
+            health=health,
+        )
+        # Group B's only replica is down, so both of its queries park.
+        group_b.instances[0].mark_down()
+        routed = []
+        route = runtime_b.router.route
+
+        def counting_route(tenant_id):
+            routed.append(tenant_id)
+            return route(tenant_id)
+
+        runtime_b.router.route = counting_route
+        sim.schedule(300.0, lambda t: health.recover(group_a.instances[0], t))
+        runtime_a.schedule(until=400.0)
+        runtime_b.run(until=400.0)
+        # Group A's recovery re-routes none of B's parked queries: B's
+        # router ran once per submission, and each span parked once.
+        assert routed == [2, 2]
+        assert len(runtime_b._parked) == 2
+        spans = sink.spans_of("query")
+        assert len(spans) == 2
+        for span in spans:
+            assert [e.name for e in span.events].count("park") == 1
 
 
 class TestValidation:

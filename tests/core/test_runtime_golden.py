@@ -3,7 +3,8 @@
 Three small seeded replays exercise every per-query path of
 :class:`~repro.core.runtime.GroupRuntime`: abort -> retry -> failover on a
 replicated deployment, park -> deadline failure on a single-replica one,
-and closed-loop event chains.  Each replay's observable outcome — SLA
+and a direct :meth:`~repro.core.runtime.GroupRuntime.run` of one planned
+group that ends with queries still running.  Each replay's observable outcome — SLA
 records, fault records, RT-TTP samples, scaling actions, and the bytes of
 a :class:`~repro.obs.MemorySink`'s ``spans.jsonl`` and ``summary.json`` —
 is hashed and compared against a constant.  A refactor of the runtime
@@ -55,14 +56,14 @@ GOLDEN = {
         "spans.jsonl": "87b79e163e4de350",
         "summary.json": "6708b70ca8890ad4",
     },
-    "closed_loop": {
-        "counts": "f8756f44872549f8",
+    "open_loop_run": {
+        "counts": "35412a36e4993b54",
         "faults": "cf1cbb66a638b486",
-        "rt_ttp": "83e0634532d823b3",
-        "scaling": "cf1cbb66a638b486",
-        "sla": "a8f2f9c1c499aa69",
-        "spans.jsonl": "39ae5d7d21d05c57",
-        "summary.json": "8d9fa59ea63fb9b8",
+        "rt_ttp": "5a52a9394403a44d",
+        "scaling": "87148bbfc1c9db25",
+        "sla": "85d2e3ef53a126fc",
+        "spans.jsonl": "cd3fd28c13f0b4bd",
+        "summary.json": "84774abbac618872",
     },
 }
 
@@ -124,8 +125,13 @@ def _service_replay(config, fault=None):
     return reports, sink, service.simulator
 
 
-def _closed_loop_replay():
-    """One planned group replayed with closed-loop user chains."""
+def _open_loop_run():
+    """One planned group replayed by ``GroupRuntime.run`` itself.
+
+    The horizon falls 1 s after the last logged query longer than 5 s
+    that is submitted within two days, so the run ends with queries
+    still in flight.
+    """
     config = tiny_config(num_tenants=24, seed=13)
     library = SessionLogGenerator(config, sessions_per_size=3).generate()
     workload = MultiTenantLogComposer(config, library).compose()
@@ -135,6 +141,12 @@ def _closed_loop_replay():
     provisioner = Provisioner(sim)
     deployed = DeploymentMaster(provisioner).deploy_group(group, instant=True)
     logs = {t: workload.tenant_log(t) for t in group.placement.tenant_ids}
+    horizon = 1.0 + max(
+        r.submit_time_s
+        for log in logs.values()
+        for r in log.records
+        if r.latency_s > 5.0 and r.submit_time_s < 2 * DAY
+    )
     sink = MemorySink()
     runtime = GroupRuntime(
         deployed,
@@ -143,11 +155,10 @@ def _closed_loop_replay():
         provisioner,
         sla_fraction=config.sla_fraction,
         scaling=LightweightScaling(identification_epoch_s=10.0),
-        closed_loop=True,
         observer=Observer(sink),
     )
-    report = runtime.run(until=2 * DAY)
-    return [report], sink, sim
+    report = runtime.run(until=horizon)
+    return ([report], sink, sim), horizon
 
 
 def _run(name: str):
@@ -156,7 +167,7 @@ def _run(name: str):
     if name == "parked":
         config = tiny_config(num_tenants=24, seed=13, replication_factor=1)
         return _service_replay(config, fault=RetryPolicy(queue_deadline_s=600.0)), 1 * DAY
-    return _closed_loop_replay(), 2 * DAY
+    return _open_loop_run()
 
 
 def _reaches_its_path(name: str, reports: list[RuntimeReport], sink: MemorySink) -> bool:
@@ -166,7 +177,8 @@ def _reaches_its_path(name: str, reports: list[RuntimeReport], sink: MemorySink)
     if name == "parked":
         return any(r.fault_records for r in reports)
     statuses = {span.status for span in sink.spans_of("query")}
-    return "complete" in statuses and "inflight" in statuses
+    scaled = any(r.scaling_actions for r in reports)
+    return "complete" in statuses and "inflight" in statuses and scaled
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -22,7 +22,7 @@ from repro.cli import main
 #: sha256 of each pinned file of the scenario below.
 GOLDEN = {
     "summary.json": "fac47a6428391da5f4159ae1c294fbe1a1ace968d6e1c0a8b1b2a91c4e193871",
-    "spans.jsonl": "919852fef4f37906c50331c763e0c4c2d993bb433a05debfe7f6786b1c3bc935",
+    "spans.jsonl": "8476fabaa8de43e96cc6e2941322f18e19d08a496b6d077c81c8285141785806",
 }
 
 ARGS = [

@@ -75,13 +75,6 @@ class TestSimulator:
         sim.run(until=100.0)
         assert sim.now == 100.0
 
-    def test_run_max_events(self):
-        sim = Simulator()
-        for t in (1.0, 2.0, 3.0):
-            sim.schedule(t, lambda _t: None)
-        assert sim.run(max_events=2) == 2
-        assert sim.pending == 1
-
     def test_cancellation(self):
         sim = Simulator()
         seen = []

@@ -1,5 +1,7 @@
 """Event queue tests: determinism, ordering, cancellation."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -10,28 +12,41 @@ def _noop(_t: float) -> None:
     pass
 
 
+def _drain(queue):
+    """Pop every live event in firing order."""
+    events = []
+    while (event := queue.pop_due(math.inf)) is not None:
+        events.append(event)
+    return events
+
+
 class TestEventQueue:
     def test_empty_queue(self):
         queue = EventQueue()
         assert len(queue) == 0
         assert not queue
-        assert queue.peek_time() is None
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
+    def test_pop_due_on_empty_returns_none(self):
+        assert EventQueue().pop_due(math.inf) is None
+
+    def test_pop_due_leaves_later_events_queued(self):
+        queue = EventQueue()
+        queue.push(Event(time=2.0, callback=_noop, label="later"))
+        assert queue.pop_due(1.0) is None
+        assert len(queue) == 1
+        assert queue.pop_due(2.0).label == "later"
 
     def test_time_ordering(self):
         queue = EventQueue()
         for t in (5.0, 1.0, 3.0):
             queue.push(Event(time=t, callback=_noop, label=str(t)))
-        assert [queue.pop().time for _ in range(3)] == [1.0, 3.0, 5.0]
+        assert [e.time for e in _drain(queue)] == [1.0, 3.0, 5.0]
 
     def test_fifo_tie_break(self):
         queue = EventQueue()
         for name in ("first", "second", "third"):
             queue.push(Event(time=1.0, callback=_noop, label=name))
-        assert [queue.pop().label for _ in range(3)] == ["first", "second", "third"]
+        assert [e.label for e in _drain(queue)] == ["first", "second", "third"]
 
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
@@ -43,8 +58,8 @@ class TestEventQueue:
         drop = queue.push(Event(time=0.5, callback=_noop, label="drop"))
         queue.cancel(drop)
         assert len(queue) == 1
-        assert queue.peek_time() == 1.0
-        assert queue.pop().label == "keep"
+        assert queue.pop_due(0.5) is None
+        assert queue.pop_due(1.0).label == "keep"
         assert keep.event.label == "keep"
 
     def test_cancel_idempotent(self):
@@ -54,20 +69,12 @@ class TestEventQueue:
         queue.cancel(entry)
         assert len(queue) == 0
 
-    def test_clear(self):
-        queue = EventQueue()
-        queue.push(Event(time=1.0, callback=_noop))
-        queue.push(Event(time=2.0, callback=_noop))
-        queue.clear()
-        assert not queue
-        assert queue.peek_time() is None
-
     def test_len_tracks_live_events(self):
         queue = EventQueue()
         entries = [queue.push(Event(time=float(i), callback=_noop)) for i in range(5)]
         queue.cancel(entries[2])
         assert len(queue) == 4
-        queue.pop()
+        queue.pop_due(math.inf)
         assert len(queue) == 3
 
 
@@ -80,7 +87,7 @@ class TestListEntryLayout:
         times = [float(i % 7) for i in range(10_000)]
         for i, t in enumerate(times):
             queue.push(Event(time=t, callback=_noop, label=str(i)))
-        popped = [queue.pop() for _ in range(len(times))]
+        popped = _drain(queue)
         expected = sorted(range(len(times)), key=lambda i: (times[i], i))
         assert [int(e.label) for e in popped] == expected
 
@@ -93,10 +100,10 @@ class TestListEntryLayout:
         assert len(queue) == len(live)
         labels = []
         while queue:
-            labels.append(queue.pop().label)
+            labels.append(queue.pop_due(math.inf).label)
             assert len(queue) == len(live) - len(labels)
         assert labels == [e.event.label for e in live]
-        assert queue.peek_time() is None
+        assert queue.pop_due(math.inf) is None
 
     def test_entry_fields_are_readable_on_heap_items(self):
         queue = EventQueue()
@@ -114,20 +121,23 @@ class TestListEntryLayout:
 
     def test_entries_never_compare_their_events(self):
         class Uncomparable:
+            def __call__(self, _t: float) -> None:
+                pass
+
             def __eq__(self, other):
-                raise AssertionError("an Event payload was compared")
+                raise AssertionError("an Event callback was compared")
 
             __lt__ = __gt__ = __le__ = __ge__ = __eq__
             __hash__ = object.__hash__
 
         queue = EventQueue()
         for i in range(500):
-            # Many equal times, equal callbacks and payloads that refuse to
-            # be compared: only the unique sequence number may break a tie.
-            queue.push(Event(time=1.0, callback=lambda t: None, payload=Uncomparable()))
-            queue.push(Event(time=float(i % 3), callback=_noop, payload=Uncomparable()))
+            # Many equal times and labels, and callbacks that refuse to be
+            # compared: only the unique sequence number may break a tie.
+            queue.push(Event(time=1.0, callback=Uncomparable()))
+            queue.push(Event(time=float(i % 3), callback=Uncomparable()))
         keys = [(entry.time, entry.sequence) for entry in queue._heap]
         assert len(set(keys)) == len(keys)
         expected = [entry.event for entry in sorted(queue._heap, key=lambda e: (e.time, e.sequence))]
-        popped = [queue.pop() for _ in range(len(expected))]
+        popped = _drain(queue)
         assert all(got is want for got, want in zip(popped, expected))

@@ -40,12 +40,6 @@ class TestStepSeries:
         with pytest.raises(SimulationError):
             series.set(4.0, 1.0)
 
-    def test_time_weighted_mean(self):
-        series = StepSeries(0.0)
-        series.set(10.0, 4.0)
-        # [0,10): 0; [10,20): 4 -> mean 2 over [0,20)
-        assert series.time_weighted_mean(0.0, 20.0) == pytest.approx(2.0)
-
     def test_fraction_time_above(self):
         series = StepSeries(0.0)
         series.set(10.0, 4.0)
@@ -69,18 +63,10 @@ class TestStepSeries:
         ttp = series.fraction_time_at_most(3.0, 0.0, 1000.0)
         assert ttp == pytest.approx(0.999)
 
-    def test_max_over(self):
-        series = StepSeries(1.0)
-        series.set(10.0, 5.0)
-        series.set(20.0, 2.0)
-        assert series.max_over(0.0, 30.0) == 5.0
-        assert series.max_over(0.0, 5.0) == 1.0
-        assert series.max_over(25.0, 30.0) == 2.0
-
     def test_empty_window_rejected(self):
         series = StepSeries(0.0)
         with pytest.raises(SimulationError):
-            series.time_weighted_mean(5.0, 5.0)
+            series.fraction_time_above(0.0, 5.0, 5.0)
 
     def test_zero_width_windows_raise_everywhere(self):
         # Every time-weighted aggregate treats [t, t) as an error rather
@@ -88,11 +74,9 @@ class TestStepSeries:
         series = StepSeries(1.0)
         series.set(5.0, 3.0)
         for call in (
-            lambda: series.time_weighted_mean(5.0, 5.0),
             lambda: series.fraction_time_above(2.0, 5.0, 5.0),
             lambda: series.fraction_time_at_most(2.0, 5.0, 5.0),
-            lambda: series.max_over(5.0, 5.0),
-            lambda: series.time_weighted_mean(6.0, 5.0),  # inverted, too
+            lambda: series.fraction_time_above(2.0, 6.0, 5.0),  # inverted, too
         ):
             with pytest.raises(SimulationError):
                 call()
@@ -100,4 +84,5 @@ class TestStepSeries:
     def test_window_beyond_last_change_uses_final_value(self):
         series = StepSeries(0.0)
         series.set(10.0, 2.0)
-        assert series.time_weighted_mean(20.0, 30.0) == pytest.approx(2.0)
+        assert series.fraction_time_above(1.0, 20.0, 30.0) == 1.0
+        assert series.fraction_time_at_most(2.0, 20.0, 30.0) == 1.0
