@@ -11,6 +11,13 @@ Replay is open loop, as in the paper's §7 replays: every submission happens
 at its logged time, even when earlier queries run slow, so a slowdown shows
 up as latency and never shifts the submission timeline.
 
+Submissions stream: each tenant has one cursor (:class:`_SubmitCursor`)
+with one pending ``query-submit`` event, and its next record is taken from
+the tenant's :class:`~repro.workload.logs.SubmissionSource` only when the
+previous one is submitted.  :meth:`GroupRuntime.schedule` reserves the
+sequence numbers all of them would have taken had they been scheduled up
+front, so every tie resolves as in an up-front schedule.
+
 SLA baselines: a logged query's before-consolidation latency *is* its SLA
 (§1.1), so the baseline is the latency recorded during Step 1 log
 collection on the tenant's dedicated, exactly-sized MPPDB.
@@ -19,7 +26,7 @@ collection on the tenant's dedicated, exactly-sized MPPDB.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -32,7 +39,7 @@ from ..obs.tracing import STATUS_INFLIGHT, Span
 from ..simulation.engine import Simulator
 from ..simulation.events import ScheduledEvent
 from ..units import MINUTE
-from ..workload.logs import QueryRecord, TenantLog
+from ..workload.logs import QueryRecord, SubmissionSource
 from ..workload.queries import template_by_name
 from .fault import (
     DEFAULT_RETRY_POLICY,
@@ -73,6 +80,46 @@ class _QueryState:
     span: Optional[Span] = None
 
 
+class _SubmitCursor:
+    """One tenant's submission cursor: at most one pending submit event.
+
+    Submits ``count`` records from ``records`` in order, the ``i``-th with
+    sequence number ``first_sequence + i``.  Each record is pulled from the
+    iterator when its predecessor is submitted.
+    """
+
+    __slots__ = ("_runtime", "_tenant", "_records", "_record", "_sequence", "_end")
+
+    def __init__(
+        self,
+        runtime: "GroupRuntime",
+        tenant_id: int,
+        records: Iterator[QueryRecord],
+        first_sequence: int,
+        count: int,
+    ) -> None:
+        self._runtime = runtime
+        self._tenant = tenant_id
+        self._records = records
+        self._sequence = first_sequence
+        self._end = first_sequence + count
+        self._arm()
+
+    def _arm(self) -> None:
+        record = next(self._records)
+        self._record = record
+        self._runtime._sim.schedule(
+            record.submit_time_s, self._fire, label="query-submit", sequence=self._sequence
+        )
+
+    def _fire(self, time: float) -> None:
+        record = self._record
+        self._sequence += 1
+        if self._sequence < self._end:
+            self._arm()
+        self._runtime._submit(self._tenant, record, time)
+
+
 @dataclass
 class RuntimeReport:
     """Everything observed while replaying one group."""
@@ -97,7 +144,14 @@ class RuntimeReport:
 
 
 class GroupRuntime:
-    """Replays tenant logs against one deployed tenant group."""
+    """Replays tenant logs against one deployed tenant group.
+
+    ``logs`` maps every tenant of the group to a
+    :class:`~repro.workload.logs.SubmissionSource`: a
+    :class:`~repro.workload.logs.TenantLog`, or a lazy
+    :class:`~repro.workload.composer.LazyTenantLog` that builds each
+    record when it is due.  Extra tenants are ignored.
+    """
 
     # Bound once when the observer is enabled; read only behind that guard.
     _metrics: GroupInstruments
@@ -105,7 +159,7 @@ class GroupRuntime:
     def __init__(
         self,
         deployed: DeployedGroup,
-        logs: Mapping[int, TenantLog],
+        logs: Mapping[int, SubmissionSource],
         simulator: Simulator,
         provisioner: Provisioner,
         sla_fraction: float,
@@ -469,28 +523,36 @@ class GroupRuntime:
         observer.metrics.flush(time)
 
     def schedule(self, until: float) -> int:
-        """Schedule all log submissions and periodic checks up to ``until``.
+        """Schedule the log submissions and periodic checks up to ``until``.
 
-        Returns the number of queries scheduled.  Call once, then run the
-        simulator (directly or via :meth:`run`).
+        Every record submitted before ``until`` counts, in tenant-id order
+        and then log order, and gets a sequence number reserved now; each
+        tenant's cursor schedules one submit at a time with those numbers.
+        The first monitor tick is scheduled after the block.  Returns the
+        number of queries scheduled.  Call once, then run the simulator
+        (directly or via :meth:`run`).
         """
         if self._scheduled:
             raise DeploymentError("schedule() called twice")
         self._scheduled = True
-        count = 0
-        for tenant_id, log in sorted(self._logs.items()):
-            if tenant_id not in self._deployed.deployment.placement.tenant_ids:
-                continue
-            for record in log.records:
-                if record.submit_time_s >= until:
-                    continue
-
-                def _cb(time: float, _tenant: int = tenant_id, _record: QueryRecord = record) -> None:
-                    self._submit(_tenant, _record, time)
-
-                self._sim.schedule(record.submit_time_s, _cb, label="query-submit")
-                count += 1
+        tenant_ids = self._deployed.deployment.placement.tenant_ids
+        streams = [
+            (tenant_id, self._logs[tenant_id].submissions(until))
+            for tenant_id in sorted(self._logs)
+            if tenant_id in tenant_ids
+        ]
+        count = sum(submissions.count for _, submissions in streams)
+        sequence = self._sim.reserve_sequences(count)
+        for tenant_id, (tenant_count, records) in streams:
+            if tenant_count:
+                _SubmitCursor(self, tenant_id, records, sequence, tenant_count)
+                sequence += tenant_count
         self._submitted = count
+        self._schedule_ticks(until)
+        return count
+
+    def _schedule_ticks(self, until: float) -> None:
+        """Schedule the first monitor tick; each tick schedules the next."""
 
         def _tick(time: float) -> None:
             self._periodic_check(time)
@@ -501,7 +563,6 @@ class GroupRuntime:
         first = self._sim.now + self._interval
         if first <= until:
             self._sim.schedule(first, _tick, label="monitor-tick")
-        return count
 
     def run(self, until: float) -> RuntimeReport:
         """Schedule (if needed) and run the replay to ``until``."""

@@ -226,20 +226,28 @@ class ThriftyService:
 
         ``group_names`` restricts the replay to a subset of groups (useful
         for focused experiments like Figure 7.7, which watches a single
-        group); by default all groups replay together.
+        group); by default all groups replay together.  Every name is
+        checked before anything is scheduled, so a rejected call leaves the
+        service as it was.  Each tenant's log is read lazily: a record is
+        built when the replay reaches it.
         """
         if self._advice is None or self._workload is None:
             raise DeploymentError("deploy() must be called before replay()")
         deployed = self.master.deployed_groups()
-        wanted = sorted(deployed) if group_names is None else group_names
+        wanted = sorted(deployed) if group_names is None else list(group_names)
+        seen: set[str] = set()
         for name in wanted:
             if name not in deployed:
                 raise DeploymentError(f"group {name!r} is not deployed")
             if name in self._runtimes:
                 raise DeploymentError(f"group {name!r} was already replayed")
+            if name in seen:
+                raise DeploymentError(f"group {name!r} is listed twice")
+            seen.add(name)
+        for name in wanted:
             group = deployed[name]
             logs = {
-                tenant_id: self._workload.tenant_log(tenant_id)
+                tenant_id: self._workload.lazy_log(tenant_id)
                 for tenant_id in group.deployment.placement.tenant_ids
             }
             runtime = GroupRuntime(

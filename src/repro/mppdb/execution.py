@@ -88,8 +88,14 @@ CompletionCallback = Callable[[QueryExecution], None]
 class ExecutionEngine:
     """Egalitarian processor-sharing engine for one MPPDB instance."""
 
-    def __init__(self, simulator: Simulator) -> None:
+    def __init__(self, simulator: Simulator, retain_completed: bool = False) -> None:
+        """``retain_completed`` keeps every finished query for :attr:`completed`.
+
+        Off by default: a replay's engines would otherwise hold every
+        query they ever ran.  The session-log generator turns it on.
+        """
         self._sim = simulator
+        self._retain = retain_completed
         self._running: dict[int, QueryExecution] = {}
         self._ids = itertools.count()
         self._last_settle = simulator.now
@@ -131,7 +137,10 @@ class ExecutionEngine:
 
     @property
     def completed(self) -> list[QueryExecution]:
-        """All finished queries, in completion order (copy)."""
+        """All finished queries, in completion order (copy).
+
+        Empty unless the engine was built with ``retain_completed=True``.
+        """
         return list(self._completed)
 
     def on_complete(self, callback: CompletionCallback) -> None:
@@ -193,7 +202,8 @@ class ExecutionEngine:
             # Degenerate instantaneous query: complete immediately without
             # perturbing the processor-sharing state.
             execution.finish_time = self._sim.now
-            self._completed.append(execution)
+            if self._retain:
+                self._completed.append(execution)
             for callback in self._on_complete:
                 callback(execution)
             return execution
@@ -234,7 +244,8 @@ class ExecutionEngine:
             del self._running[q.query_id]
             q._remaining = 0.0
             q.finish_time = time
-            self._completed.append(q)
+            if self._retain:
+                self._completed.append(q)
         self._completion_handle = None
         self._reschedule()
         for q in sorted(due, key=lambda q: q.query_id):

@@ -63,21 +63,34 @@ class Simulator:
         """Fired-event counts keyed by event label (empty unless enabled)."""
         return dict(self._event_counts or {})
 
+    def reserve_sequences(self, count: int) -> int:
+        """Reserve ``count`` tie-break sequence numbers; return the first.
+
+        An event later scheduled with one of them (``schedule(...,
+        sequence=n)``) fires in the place it would have had if it had been
+        scheduled at the moment of the reservation.  See
+        :meth:`EventQueue.reserve`.
+        """
+        return self._queue.reserve(count)
+
     def schedule(
         self,
         time: float,
         callback: EventCallback,
         label: str = "",
+        sequence: Optional[int] = None,
     ) -> ScheduledEvent:
         """Schedule ``callback`` at absolute simulated ``time``.
 
+        ``sequence`` is a number from :meth:`reserve_sequences`; by default
+        the event is ordered after everything scheduled or reserved so far.
         Returns a handle that can be passed to :meth:`cancel`.
         """
         if time < self.clock.now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, which is before the current time {self.clock.now!r}"
             )
-        return self._queue.push(Event(time=time, callback=callback, label=label))
+        return self._queue.push(Event(time=time, callback=callback, label=label), sequence)
 
     def schedule_after(
         self, delay: float, callback: EventCallback, label: str = ""

@@ -10,7 +10,6 @@ the concurrency level on an instance changes.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, cast
 
@@ -73,11 +72,16 @@ class EventQueue:
     Ordering is by ``(time, insertion order)`` so simultaneous events fire
     in the order they were scheduled.  Cancellation is lazy: cancelled
     entries stay in the heap until popped, then get skipped.
+
+    A caller that will push a known number of events later, one at a time,
+    can :meth:`reserve` their sequence numbers now and pass each to
+    :meth:`push`: the events then order against everything else exactly
+    as if they had all been pushed at the moment of the reservation.
     """
 
     def __init__(self) -> None:
         self._heap: list[ScheduledEvent] = []
-        self._counter = itertools.count()
+        self._next_sequence = 0
         self._live = 0
 
     def __len__(self) -> int:
@@ -86,11 +90,33 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self._live > 0
 
-    def push(self, event: Event) -> ScheduledEvent:
-        """Schedule ``event`` and return a handle usable for cancellation."""
+    def reserve(self, count: int) -> int:
+        """Set aside ``count`` consecutive sequence numbers; return the first.
+
+        Events pushed afterwards without a ``sequence`` are numbered after
+        the whole block.  Each reserved number may be used for one push.
+        """
+        if count < 0:
+            raise SimulationError(f"cannot reserve {count!r} sequence numbers")
+        first = self._next_sequence
+        self._next_sequence += count
+        return first
+
+    def push(self, event: Event, sequence: Optional[int] = None) -> ScheduledEvent:
+        """Schedule ``event`` and return a handle usable for cancellation.
+
+        ``sequence`` places the event at a number taken earlier from
+        :meth:`reserve`; by default it is numbered after everything pushed
+        or reserved so far.
+        """
         if event.time < 0:
             raise SimulationError(f"cannot schedule an event at negative time {event.time!r}")
-        entry = ScheduledEvent((event.time, next(self._counter), event, False))
+        if sequence is None:
+            sequence = self._next_sequence
+            self._next_sequence += 1
+        elif not 0 <= sequence < self._next_sequence:
+            raise SimulationError(f"sequence number {sequence!r} was not reserved")
+        entry = ScheduledEvent((event.time, sequence, event, False))
         heapq.heappush(self._heap, entry)
         self._live += 1
         return entry

@@ -24,7 +24,7 @@ from .activity import (
     active_tenant_ratio,
     concurrency_profile,
 )
-from .composer import ComposedWorkload, MultiTenantLogComposer
+from .composer import ComposedWorkload, LazyTenantLog, MultiTenantLogComposer
 from .distributions import sample_node_sizes, zipf_pmf
 from .generator import SessionLibrary, SessionLogGenerator
 from .io import (
@@ -33,7 +33,7 @@ from .io import (
     save_session_library,
     write_tenant_log,
 )
-from .logs import QueryRecord, TenantLog, merge_intervals
+from .logs import QueryRecord, SubmissionSource, Submissions, TenantLog, merge_intervals
 from .queries import QueryTemplate, template_by_name
 from .session import SessionConfig
 from .tenant import TenantSpec
@@ -46,6 +46,7 @@ __all__ = [
     "active_tenant_ratio",
     "concurrency_profile",
     "ComposedWorkload",
+    "LazyTenantLog",
     "MultiTenantLogComposer",
     "sample_node_sizes",
     "zipf_pmf",
@@ -56,6 +57,8 @@ __all__ = [
     "save_session_library",
     "write_tenant_log",
     "QueryRecord",
+    "SubmissionSource",
+    "Submissions",
     "TenantLog",
     "merge_intervals",
     "QueryTemplate",

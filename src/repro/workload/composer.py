@@ -15,12 +15,19 @@ modified :class:`~repro.config.LogGenerationConfig` factories
 The composed workload stores only *which* library sessions each tenant
 picked and their time shifts; per-tenant logs and activity-epoch sets are
 materialized on demand, so composing thousands of tenants stays cheap.
+The replay goes further: :meth:`ComposedWorkload.lazy_log` counts a
+tenant's submissions before a horizon by binary search and builds each
+record only when the replay asks for it.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,11 +37,11 @@ from ..rng import RngFactory
 from ..units import DAY, HOUR
 from .activity import active_epoch_indices, concurrency_counts, sorted_union
 from .distributions import sample_node_sizes
-from .generator import SessionLibrary
-from .logs import QueryRecord, TenantLog
+from .generator import SessionLibrary, SessionOrder
+from .logs import QueryRecord, Submissions, TenantLog, log_order
 from .tenant import TenantSpec
 
-__all__ = ["SessionPick", "ComposedWorkload", "MultiTenantLogComposer"]
+__all__ = ["SessionPick", "ComposedWorkload", "LazyTenantLog", "MultiTenantLogComposer"]
 
 _EPOCH_ALIGN_TOL = 1e-9
 
@@ -50,6 +57,89 @@ class SessionPick:
     def __post_init__(self) -> None:
         if self.shift_s < 0:
             raise WorkloadError(f"session shift must be non-negative, got {self.shift_s!r}")
+
+
+class _PickRun(NamedTuple):
+    """The records one pick submits before a horizon, in log order."""
+
+    first_s: float
+    index: int
+    last_s: float
+    records: Iterator[QueryRecord]
+
+
+def _shifted_prefix(order: SessionOrder, shift_s: float, count: int) -> Iterator[QueryRecord]:
+    """The first ``count`` records of a session in log order, shifted into place.
+
+    A shift can round two distinct submit times to one float; the user and
+    template then decide their order, so such a prefix is sorted again.
+    """
+    head = order.records[:count]
+    if order.min_gap <= 2.0 * math.ulp(order.times[count - 1] + shift_s):
+        return iter(sorted((r.shifted(shift_s) for r in head), key=log_order))
+    return (r.shifted(shift_s) for r in head)
+
+
+def _in_log_order(runs: list[_PickRun]) -> Iterator[Iterator[QueryRecord]]:
+    """Group pick runs whose time spans meet and merge each group stably.
+
+    Runs of different groups never interleave, so the groups are chained
+    in time order; within a group, ``heapq.merge`` over the runs in pick
+    order breaks equal keys by pick order, as the tenant log's stable
+    sort does.
+    """
+    runs.sort(key=lambda run: (run.first_s, run.index))
+    start = 0
+    while start < len(runs):
+        stop, last_s = start + 1, runs[start].last_s
+        while stop < len(runs) and runs[stop].first_s <= last_s:
+            last_s = max(last_s, runs[stop].last_s)
+            stop += 1
+        if stop - start == 1:
+            yield runs[start].records
+        else:
+            group = sorted(runs[start:stop], key=lambda run: run.index)
+            yield heapq.merge(*(run.records for run in group), key=log_order)
+        start = stop
+
+
+class LazyTenantLog:
+    """A composed tenant's log, read through :meth:`submissions` only.
+
+    Equivalent to ``ComposedWorkload.tenant_log`` for the replay, but it
+    counts the records before a horizon by binary search over each
+    session's cached submit times and builds each record when the
+    iterator reaches it.
+    """
+
+    def __init__(
+        self, tenant: TenantSpec, picks: tuple[SessionPick, ...], library: SessionLibrary
+    ) -> None:
+        self.tenant = tenant
+        self._picks = picks
+        self._library = library
+
+    def submissions(self, until: float) -> Submissions:
+        """The records the tenant submits before ``until``, in log order."""
+        runs: list[_PickRun] = []
+        count = 0
+        for index, pick in enumerate(self._picks):
+            shift = pick.shift_s
+            if shift >= until:
+                continue
+            order = self._library.replay_order(pick.node_size, pick.session_index)
+            times = order.times
+            # ``shift + t`` is the float ``QueryRecord.shifted`` computes.
+            n = bisect_left(times, until, key=shift.__add__)
+            if n:
+                count += n
+                runs.append(
+                    _PickRun(
+                        times[0] + shift, index, times[n - 1] + shift,
+                        _shifted_prefix(order, shift, n),
+                    )
+                )
+        return Submissions(count, chain.from_iterable(_in_log_order(runs)))
 
 
 class ComposedWorkload:
@@ -114,6 +204,10 @@ class ComposedWorkload:
             session = self.library.session(pick.node_size, pick.session_index)
             records.extend(r.shifted(pick.shift_s) for r in session.records)
         return TenantLog(spec, records)
+
+    def lazy_log(self, tenant_id: int) -> LazyTenantLog:
+        """A tenant's log as a lazy :class:`~repro.workload.logs.SubmissionSource`."""
+        return LazyTenantLog(self.tenant(tenant_id), self._picks[tenant_id], self.library)
 
     def activity_epochs(self, tenant_id: int, epoch_size: float) -> np.ndarray:
         """Sorted active-epoch indices of a tenant at the given epoch size.

@@ -10,15 +10,17 @@ interference, just like the paper's.
 The result is a :class:`SessionLibrary` — for each node size, a set of
 3-hour session logs (the paper collects 100 per size) from which Step 2
 (:mod:`~repro.workload.composer`) randomly picks when stitching multi-day
-multi-tenant logs.  Each :class:`SessionLog` caches its merged busy
-intervals and, per epoch size, its active-epoch index array, which keeps
-composition at thousands of tenants cheap.
+multi-tenant logs.  The library caches, per session and epoch size, the
+session's active-epoch index array, and per session its records in
+tenant-log order (:meth:`SessionLibrary.replay_order`), which keeps
+composition and replay at thousands of tenants cheap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,13 +28,13 @@ from ..config import EvaluationConfig
 from ..errors import WorkloadError
 from ..rng import RngFactory
 from .activity import active_epoch_indices
-from .logs import QueryRecord, merge_intervals
+from .logs import QueryRecord, log_order, merge_intervals
 from .queries import QueryTemplate
 from .session import SessionConfig, run_user_session
 from .tpcds import TPCDS_TEMPLATES
 from .tpch import TPCH_TEMPLATES
 
-__all__ = ["SessionLog", "SessionLibrary", "SessionLogGenerator"]
+__all__ = ["SessionLog", "SessionOrder", "SessionLibrary", "SessionLogGenerator"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,20 @@ class SessionLog:
         return sum(e - s for s, e in self.busy_intervals())
 
 
+class SessionOrder(NamedTuple):
+    """A session's records sorted as a tenant log sorts them.
+
+    ``SessionLog.records`` is sorted by submit time only; a tenant log
+    also orders equal submit times by user and template (stably).
+    """
+
+    records: tuple[QueryRecord, ...]
+    #: ``records``' submit times, non-decreasing.
+    times: tuple[float, ...]
+    #: Smallest gap between two consecutive distinct times (``inf`` if none).
+    min_gap: float
+
+
 class SessionLibrary:
     """Per-node-size collections of session logs with cached epoch sets."""
 
@@ -70,6 +86,7 @@ class SessionLibrary:
             self._sessions[int(node_size)] = logs
         # epoch-index cache: (node_size, session index, epoch_size) -> array
         self._epoch_cache: dict[tuple[int, int, float], np.ndarray] = {}
+        self._order_cache: dict[tuple[int, int], SessionOrder] = {}
 
     @property
     def node_sizes(self) -> tuple[int, ...]:
@@ -99,6 +116,19 @@ class SessionLibrary:
         indices = active_epoch_indices(self.session(node_size, index).busy_intervals(), epoch_size)
         self._epoch_cache[key] = indices
         return indices
+
+    def replay_order(self, node_size: int, index: int) -> SessionOrder:
+        """A session's records in tenant-log order (sorted once, then cached)."""
+        key = (node_size, index)
+        cached = self._order_cache.get(key)
+        if cached is not None:
+            return cached
+        records = tuple(sorted(self.session(node_size, index).records, key=log_order))
+        times = tuple(r.submit_time_s for r in records)
+        gaps = [b - a for a, b in zip(times, times[1:]) if b > a]
+        order = SessionOrder(records, times, min(gaps, default=math.inf))
+        self._order_cache[key] = order
+        return order
 
     def mean_busy_fraction(self) -> float:
         """Average fraction of the session a tenant is active, over all logs."""

@@ -6,18 +6,31 @@ submitted which template when, and how long it ran *on its dedicated MPPDB*
 A :class:`TenantLog` is a tenant's time-ordered record list with the busy
 intervals derived from it; busy intervals are what the epoch discretization
 (:mod:`~repro.workload.activity`) and the run-time replay consume.
+
+The replay reads a log through the :class:`SubmissionSource` interface —
+how many records fall before a horizon, and an iterator that yields them
+in log order — so a source may build each record only when it is due.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 from ..errors import WorkloadError
 from .tenant import TenantSpec
 
-__all__ = ["QueryRecord", "TenantLog", "merge_intervals"]
+__all__ = [
+    "QueryRecord",
+    "Submissions",
+    "SubmissionSource",
+    "TenantLog",
+    "log_order",
+    "merge_intervals",
+]
 
 
 @dataclass(frozen=True)
@@ -48,6 +61,32 @@ class QueryRecord:
         )
 
 
+def log_order(record: QueryRecord) -> tuple[float, int, str]:
+    """Sort key of a tenant log: submit time, then user, then template.
+
+    Used with Python's stable sort, so records equal on all three keep
+    their insertion order.
+    """
+    return (record.submit_time_s, record.user, record.template)
+
+
+class Submissions(NamedTuple):
+    """A tenant's records submitted before a horizon."""
+
+    #: How many records are submitted before the horizon.
+    count: int
+    #: The records in log order; it yields at least ``count`` of them.
+    records: Iterator[QueryRecord]
+
+
+class SubmissionSource(Protocol):
+    """Anything the replay can read a tenant's submissions from."""
+
+    def submissions(self, until: float) -> Submissions:
+        """The records with ``submit_time_s < until``, in log order."""
+        ...
+
+
 def merge_intervals(intervals: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
     """Union of (possibly overlapping) half-open intervals, sorted and disjoint."""
     ordered = sorted((float(s), float(e)) for s, e in intervals)
@@ -63,14 +102,15 @@ def merge_intervals(intervals: Iterable[tuple[float, float]]) -> list[tuple[floa
     return merged
 
 
+_submit_time = attrgetter("submit_time_s")
+
+
 class TenantLog:
     """A tenant's time-ordered query log."""
 
     def __init__(self, tenant: TenantSpec, records: Sequence[QueryRecord]) -> None:
         self.tenant = tenant
-        self.records: tuple[QueryRecord, ...] = tuple(
-            sorted(records, key=lambda r: (r.submit_time_s, r.user, r.template))
-        )
+        self.records: tuple[QueryRecord, ...] = tuple(sorted(records, key=log_order))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -79,6 +119,11 @@ class TenantLog:
     def tenant_id(self) -> int:
         """Owning tenant's id."""
         return self.tenant.tenant_id
+
+    def submissions(self, until: float) -> Submissions:
+        """The log's prefix submitted before ``until`` (a :class:`SubmissionSource`)."""
+        count = bisect.bisect_left(self.records, until, key=_submit_time)
+        return Submissions(count, islice(self.records, count))
 
     def busy_intervals(self) -> list[tuple[float, float]]:
         """Disjoint intervals during which the tenant has a query running.

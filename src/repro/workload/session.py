@@ -149,7 +149,7 @@ def run_user_session(
     if not templates:
         raise WorkloadError("at least one query template is required")
     simulator = Simulator()
-    engine = ExecutionEngine(simulator)
+    engine = ExecutionEngine(simulator, retain_completed=True)
     batch_ids = itertools.count()
     users = [
         _UserProcess(

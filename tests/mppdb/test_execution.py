@@ -119,13 +119,22 @@ class TestEngineState:
         assert not eng.busy
         assert eng.active_tenants == set()
 
-    def test_completed_in_completion_order(self, engine):
-        sim, eng = engine
+    def test_completed_in_completion_order(self):
+        sim = Simulator()
+        eng = ExecutionEngine(sim, retain_completed=True)
         eng.submit(tenant_id=1, work_s=30.0)
         eng.submit(tenant_id=2, work_s=10.0)
         sim.run()
         completed = eng.completed
         assert [q.tenant_id for q in completed] == [2, 1]
+
+    def test_completed_not_retained_by_default(self, engine):
+        sim, eng = engine
+        eng.submit(tenant_id=1, work_s=30.0)
+        eng.submit(tenant_id=2, work_s=0.0)
+        sim.run()
+        assert not eng.busy
+        assert eng.completed == []
 
     def test_on_complete_callback(self, engine):
         sim, eng = engine

@@ -43,7 +43,7 @@ class TestAbortAll:
 
     def test_aborted_queries_never_complete(self):
         sim = Simulator()
-        engine = ExecutionEngine(sim)
+        engine = ExecutionEngine(sim, retain_completed=True)
         completions = []
         engine.on_complete(lambda q: completions.append(q.query_id))
         engine.submit(1, 10.0)

@@ -97,6 +97,20 @@ class TestSimulator:
         sim.run()
         assert seen == [1.0, 2.0, 3.0, 4.0, 5.0]
 
+    def test_reserved_sequence_fires_before_later_ties(self):
+        # An event scheduled inside the loop with a sequence reserved up
+        # front beats a same-time event scheduled after the reservation.
+        sim = Simulator()
+        seen = []
+        reserved = sim.reserve_sequences(1)
+        sim.schedule(2.0, lambda t: seen.append("late"))
+        sim.schedule(
+            1.0,
+            lambda t: sim.schedule(2.0, lambda t: seen.append("reserved"), sequence=reserved),
+        )
+        sim.run()
+        assert seen == ["reserved", "late"]
+
     def test_reentrant_run_rejected(self):
         sim = Simulator()
         errors = []

@@ -78,6 +78,36 @@ class TestEventQueue:
         assert len(queue) == 3
 
 
+class TestReservedSequences:
+    def test_reserved_events_order_as_if_pushed_at_reservation(self):
+        queue = EventQueue()
+        queue.push(Event(time=1.0, callback=_noop, label="before"))
+        first = queue.reserve(2)
+        queue.push(Event(time=1.0, callback=_noop, label="after"))
+        queue.push(Event(time=1.0, callback=_noop, label="reserved-1"), sequence=first + 1)
+        queue.push(Event(time=1.0, callback=_noop, label="reserved-0"), sequence=first)
+        assert [e.label for e in _drain(queue)] == [
+            "before", "reserved-0", "reserved-1", "after"
+        ]
+
+    def test_unreserved_sequence_rejected(self):
+        queue = EventQueue()
+        queue.reserve(1)
+        with pytest.raises(SimulationError):
+            queue.push(Event(time=1.0, callback=_noop), sequence=1)
+        with pytest.raises(SimulationError):
+            queue.push(Event(time=1.0, callback=_noop), sequence=-1)
+
+    def test_negative_reservation_rejected(self):
+        with pytest.raises(SimulationError):
+            EventQueue().reserve(-1)
+
+    def test_empty_reservation_takes_no_numbers(self):
+        queue = EventQueue()
+        assert queue.reserve(0) == 0
+        assert queue.push(Event(time=1.0, callback=_noop)).sequence == 0
+
+
 class TestListEntryLayout:
     """``ScheduledEvent`` is a ``[time, seq, event, cancelled]`` list that
     ``heapq`` compares in C; these pin the behaviour that layout must keep."""
