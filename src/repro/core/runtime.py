@@ -233,6 +233,11 @@ class GroupRuntime:
         """The group's query router."""
         return self._router
 
+    @property
+    def scaling_actions(self) -> tuple[ScalingAction, ...]:
+        """Elastic-scaling actions the group's policy has taken so far."""
+        return tuple(self._scaling.actions)
+
     def _wire_instance(self, instance: MPPDBInstance) -> None:
         """Hook this runtime onto an instance it is about to use for the first time.
 

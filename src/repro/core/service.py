@@ -296,7 +296,7 @@ class ThriftyService:
             raise DeploymentError("deploy() must be called before reconsolidate()")
         affected = set(extra_groups or [])
         for name, runtime in self._runtimes.items():
-            if runtime.report().scaling_actions:
+            if runtime.scaling_actions:
                 affected.add(name)
         departed = list(departed or [])
         if not affected and not departed:

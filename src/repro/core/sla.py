@@ -88,14 +88,6 @@ class SLAReport:
             (r for r in self.records if not r.met), key=lambda r: r.submit_time_s
         )
 
-    def for_tenant(self, tenant_id: int) -> "SLAReport":
-        """Restrict to one tenant."""
-        return SLAReport([r for r in self.records if r.tenant_id == tenant_id])
-
-    def for_group(self, group_name: str) -> "SLAReport":
-        """Restrict to one tenant group."""
-        return SLAReport([r for r in self.records if r.group_name == group_name])
-
     def window(self, start: float, end: float) -> "SLAReport":
         """Restrict to queries submitted in ``[start, end)``."""
         return SLAReport(

@@ -123,11 +123,11 @@ class ParallelError(ReproError):
 
 
 class LintError(ReproError):
-    """The :mod:`repro.tools.lint` static-analysis pass was misused."""
+    """The :mod:`repro.tools.lint` static-analysis tool was misused."""
 
 
 class AnalysisError(ReproError):
-    """The :mod:`repro.tools.analyze` whole-program analyzer was misused."""
+    """The whole-program THRA passes of :mod:`repro.tools.lint` were misused."""
 
 
 class ObservabilityError(ReproError):

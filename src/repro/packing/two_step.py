@@ -196,7 +196,7 @@ def _insert(
 def two_step_grouping(problem: LIVBPwFCProblem) -> GroupingSolution:
     """Run Algorithm 2 on a LIVBPwFC instance."""
     by_size = initial_groups(problem.items)
-    started = time.perf_counter()
+    started = time.perf_counter()  # thrifty: noqa[THRA101] solve_time_s is report-only metadata
     all_groups: list[list[int]] = []
     for nodes in sorted(by_size):
         all_groups.extend(

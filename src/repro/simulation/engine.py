@@ -1,10 +1,10 @@
 """The discrete-event simulation engine.
 
-:class:`Simulator` owns the clock and the event queue, and exposes the
-standard run loop: schedule callbacks at absolute times or after delays,
-then :meth:`Simulator.run` until the queue drains (or until a time bound is
-hit).  Callbacks may schedule further events; scheduling
-in the past raises.
+:class:`Simulator` owns the simulated time and the event queue, and
+exposes the standard run loop: schedule callbacks at absolute times or
+after delays, then :meth:`Simulator.run` until the queue drains (or until a
+time bound is hit).  Callbacks may schedule further events; scheduling in
+the past raises, and time never moves backwards.
 
 The MPPDB execution model additionally needs to *reschedule* in-flight
 events (a query's completion moves when the concurrency level changes), so
@@ -17,7 +17,6 @@ import math
 from typing import Optional
 
 from ..errors import SimulationError
-from .clock import Clock
 from .events import Event, EventCallback, EventQueue, ScheduledEvent
 
 __all__ = ["Simulator"]
@@ -27,7 +26,9 @@ class Simulator:
     """Deterministic discrete-event simulator."""
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self.clock = Clock(start_time)
+        if start_time < 0:
+            raise SimulationError(f"simulation cannot start at negative time {start_time!r}")
+        self._now = float(start_time)
         self._queue = EventQueue()
         self._events_fired = 0
         self._running = False
@@ -35,8 +36,8 @@ class Simulator:
 
     @property
     def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self.clock.now
+        """Current simulated time in seconds; it only ever moves forward."""
+        return self._now
 
     @property
     def events_fired(self) -> int:
@@ -86,9 +87,9 @@ class Simulator:
         the event is ordered after everything scheduled or reserved so far.
         Returns a handle that can be passed to :meth:`cancel`.
         """
-        if time < self.clock.now:
+        if time < self._now:
             raise SimulationError(
-                f"cannot schedule at {time!r}, which is before the current time {self.clock.now!r}"
+                f"cannot schedule at {time!r}, which is before the current time {self._now!r}"
             )
         return self._queue.push(Event(time=time, callback=callback, label=label), sequence)
 
@@ -98,14 +99,16 @@ class Simulator:
         """Schedule ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay!r}")
-        return self.schedule(self.clock.now + delay, callback, label=label)
+        return self.schedule(self._now + delay, callback, label=label)
 
     def cancel(self, handle: ScheduledEvent) -> None:
         """Cancel a scheduled event (idempotent)."""
         self._queue.cancel(handle)
 
     def _fire(self, event: Event) -> None:
-        self.clock.advance_to(event.time)
+        if event.time < self._now:
+            raise SimulationError(f"time cannot move backwards: {event.time!r} < {self._now!r}")
+        self._now = float(event.time)
         self._events_fired += 1
         counts = self._event_counts
         if counts is not None:
@@ -136,9 +139,9 @@ class Simulator:
                 fired += 1
         finally:
             self._running = False
-        if until is not None and until >= self.clock.now:
-            self.clock.advance_to(until)
+        if until is not None and until >= self._now:
+            self._now = float(until)
         return fired
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Simulator(now={self.clock.now}, pending={self.pending})"
+        return f"Simulator(now={self._now}, pending={self.pending})"

@@ -1,15 +1,10 @@
 """Developer tooling shipped with the Thrifty reproduction.
 
-Two static-analysis entry points live here, both machine-checking the
-invariants the library's correctness rests on — deterministic replay, the
+:mod:`repro.tools.lint` (``thrifty-lint``) machine-checks the invariants
+the library's correctness rests on — deterministic replay, the
 :class:`~repro.errors.ReproError` hierarchy, declared lifecycle
-transitions, and a documented API surface:
-
-* :mod:`repro.tools.lint` (``thrifty-lint``) — fast per-file rules
-  THR001..THR008;
-* :mod:`repro.tools.analyze` (``thrifty-analyze``) — whole-program
-  interprocedural passes THRA101..THRA105 over the import and call
-  graphs, with a checked-in baseline for accepted findings.
+transitions, and a documented API surface — with per-file THR rules and
+whole-program THRA passes from one registry (``--list-rules`` lists them).
 """
 
 from __future__ import annotations

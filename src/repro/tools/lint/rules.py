@@ -12,6 +12,7 @@ import re
 from pathlib import PurePosixPath
 from typing import Iterator
 
+from .graph import attr_chain
 from .registry import FileContext, Rule, Violation, register
 
 __all__ = [
@@ -74,18 +75,6 @@ _FLOAT_DOMAIN = re.compile(
 )
 
 
-def _attr_chain(node: ast.AST) -> tuple[str, ...]:
-    """Flatten ``a.b.c`` into ``("a", "b", "c")``; empty when not a pure chain."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return ()
-
-
 @register
 class ReplayDeterminismRule(Rule):
     """THR001 — replay layers must draw time and randomness from the framework."""
@@ -118,7 +107,7 @@ class ReplayDeterminismRule(Rule):
                         "from repro.rng.RngFactory instead",
                     )
             elif isinstance(node, ast.Call):
-                chain = _attr_chain(node.func)
+                chain = attr_chain(node.func)
                 label = _FORBIDDEN_CALLS.get(chain)
                 if label is not None:
                     yield self.violation(
@@ -145,7 +134,7 @@ class ReproErrorRule(Rule):
             exc = node.exc
             name = None
             if isinstance(exc, ast.Call):
-                chain = _attr_chain(exc.func)
+                chain = attr_chain(exc.func)
                 name = chain[-1] if chain else None
             elif isinstance(exc, ast.Name):
                 name = exc.id
@@ -177,7 +166,7 @@ class FloatEqualityRule(Rule):
         return False
 
     def _is_domain_name(self, node: ast.expr) -> bool:
-        chain = _attr_chain(node)
+        chain = attr_chain(node)
         return any(_FLOAT_DOMAIN.search(part) for part in chain)
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
@@ -215,7 +204,7 @@ class MutableDefaultRule(Rule):
         if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
             return True
         if isinstance(node, ast.Call):
-            chain = _attr_chain(node.func)
+            chain = attr_chain(node.func)
             return len(chain) == 1 and chain[0] in self._MUTABLE_CALLS
         return False
 

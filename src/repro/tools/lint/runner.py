@@ -1,4 +1,9 @@
-"""File discovery, rule execution, and the ``thrifty-lint`` CLI."""
+"""File discovery, check execution, and the ``thrifty-lint`` CLI.
+
+Every THR rule runs on each file under the given paths; every THRA pass
+runs on the package found under them (``src/`` resolves to ``src/repro``;
+see :func:`~repro.tools.lint.graph.find_package`).
+"""
 
 from __future__ import annotations
 
@@ -6,17 +11,27 @@ import argparse
 import ast
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
-from ...errors import LintError
-from . import rules as _rules  # noqa: F401  (importing registers the THR rules)
-from .registry import FileContext, Rule, Violation, all_rules, select_rules
+from ...errors import AnalysisError, LintError
+from . import passes as _passes, rules as _rules  # noqa: F401  (importing registers every check)
+from .config import AnalyzeConfig, default_config
+from .graph import _SKIP_DIRS, ProgramGraph, build_program, find_package
+from .registry import AnalysisPass, Check, FileContext, Rule, Violation, all_rules, select_rules
 from .report import write_report
-from .suppress import filter_suppressed, noqa_comments
+from .suppress import ALL_CODES, filter_suppressed, line_suppressions, noqa_comments
 
-__all__ = ["collect_files", "check_file", "check_paths", "find_unused_noqa", "main"]
+__all__ = [
+    "collect_files",
+    "check_file",
+    "check_paths",
+    "run_passes",
+    "analyze_package",
+    "find_unused_noqa",
+    "main",
+]
 
-_SKIP_DIRS = {".git", "__pycache__", ".venv", "build", "dist", ".mypy_cache", ".ruff_cache"}
+_DEFAULT_API_DOC = "docs/API.md"
 
 
 def collect_files(paths: Sequence[str | Path]) -> list[Path]:
@@ -37,59 +52,143 @@ def collect_files(paths: Sequence[str | Path]) -> list[Path]:
     return sorted(found)
 
 
-def check_file(path: Path, rule_set: Sequence[Rule] | None = None) -> list[Violation]:
-    """Run ``rule_set`` (default: all registered rules) over one file."""
+def _parse(path: Path) -> FileContext:
     source = path.read_text(encoding="utf-8")
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
         raise LintError(f"cannot parse {path}: {exc}") from exc
-    ctx = FileContext(path=str(path), source=source, tree=tree)
+    return FileContext(path=str(path), source=source, tree=tree)
+
+
+def _order(violation: Violation) -> tuple[str, int, int, str, str]:
+    return (violation.path, violation.line, violation.col, violation.code, violation.fingerprint)
+
+
+def check_file(path: Path, rule_set: Sequence[Check] | None = None) -> list[Violation]:
+    """Run the THR rules of ``rule_set`` (default: all registered) over one file."""
+    ctx = _parse(path)
     violations: list[Violation] = []
     for rule in rule_set if rule_set is not None else all_rules():
-        violations.extend(rule.check(ctx))
+        if isinstance(rule, Rule):
+            violations.extend(rule.check(ctx))
     violations = filter_suppressed(violations, ctx.source)
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
+    violations.sort(key=_order)
     return violations
 
 
+def _pass_findings(
+    graph: ProgramGraph, config: AnalyzeConfig, passes: Sequence[Check] | None
+) -> list[Violation]:
+    """Unsuppressed findings of the THRA passes, deduplicated on fingerprint and sorted."""
+    raw: list[Violation] = []
+    for analysis_pass in passes if passes is not None else all_rules():
+        if isinstance(analysis_pass, AnalysisPass):
+            raw.extend(analysis_pass.run(graph, config))
+    raw.sort(key=_order)
+    seen: set[str] = set()
+    out: list[Violation] = []
+    for finding in raw:
+        if finding.fingerprint not in seen:
+            seen.add(finding.fingerprint)
+            out.append(finding)
+    return out
+
+
+def run_passes(
+    graph: ProgramGraph,
+    config: AnalyzeConfig,
+    passes: Sequence[Check] | None = None,
+) -> list[Violation]:
+    """Run the THRA passes of ``passes`` (default: all) over a built program.
+
+    Findings come back deduplicated, suppression-filtered, and sorted.
+    """
+    suppressions_by_path = {
+        module.path: line_suppressions(module.source) for module in graph.modules.values()
+    }
+    out: list[Violation] = []
+    for finding in _pass_findings(graph, config, passes):
+        codes = suppressions_by_path.get(finding.path, {}).get(finding.line, frozenset())
+        if ALL_CODES not in codes and finding.code not in codes:
+            out.append(finding)
+    return out
+
+
+def analyze_package(
+    package_dir: str | Path,
+    config: AnalyzeConfig | None = None,
+    passes: Sequence[Check] | None = None,
+) -> list[Violation]:
+    """Build the program graph for ``package_dir`` and run the passes."""
+    graph = build_program(package_dir)
+    return run_passes(graph, config if config is not None else default_config(), passes)
+
+
+def _program_under(paths: Sequence[str | Path]) -> Optional[ProgramGraph]:
+    package = find_package(paths)
+    return build_program(package) if package is not None else None
+
+
 def check_paths(
-    paths: Sequence[str | Path], rule_set: Sequence[Rule] | None = None
+    paths: Sequence[str | Path],
+    rule_set: Sequence[Check] | None = None,
+    config: AnalyzeConfig | None = None,
 ) -> tuple[list[Violation], int]:
-    """Lint every file under ``paths``; return (violations, files_checked)."""
+    """Run ``rule_set`` (default: every check) under ``paths``.
+
+    THR rules run on every file; THRA passes run on the package found under
+    ``paths``, if any.  Returns (violations, files_checked).
+    """
+    checks = list(rule_set) if rule_set is not None else all_rules()
     files = collect_files(paths)
     violations: list[Violation] = []
-    for path in files:
-        violations.extend(check_file(path, rule_set))
+    if any(isinstance(check, Rule) for check in checks):
+        for path in files:
+            violations.extend(check_file(path, checks))
+    if any(isinstance(check, AnalysisPass) for check in checks):
+        graph = _program_under(paths)
+        if graph is not None:
+            violations.extend(
+                run_passes(graph, config if config is not None else default_config(), checks)
+            )
+    violations.sort(key=_order)
     return violations, len(files)
 
 
-def find_unused_noqa(paths: Sequence[str | Path]) -> tuple[list[Violation], int]:
+def find_unused_noqa(
+    paths: Sequence[str | Path], config: AnalyzeConfig | None = None
+) -> tuple[list[Violation], int]:
     """``thrifty: noqa`` comments that no longer suppress any violation.
 
-    Runs every registered rule over each file *without* suppression, then
-    reports each noqa comment whose line has no violation it could silence
-    (for a bracketed noqa, none of its codes fire; for a blanket one,
-    nothing fires at all).  Reported with the pseudo-code ``NOQA`` so the
-    usual report machinery renders them.
+    Runs every registered check under ``paths`` *without* suppression (the
+    THR rules on each file, the THRA passes on the package found under
+    ``paths``), then reports each noqa comment whose line has no violation
+    it could silence (for a bracketed noqa, none of its codes fire; for a
+    blanket one, nothing fires at all).  Reported with the pseudo-code
+    ``NOQA`` so the usual report machinery renders them.
     """
-    files = collect_files(paths)
+    contexts = [_parse(path) for path in collect_files(paths)]
+    raw: list[Violation] = []
+    for rule in all_rules():
+        if isinstance(rule, Rule):
+            for ctx in contexts:
+                raw.extend(rule.check(ctx))
+    graph = _program_under(paths)
+    if graph is not None:
+        raw.extend(
+            _pass_findings(graph, config if config is not None else default_config(), None)
+        )
+    fired: dict[tuple[Path, int], set[str]] = {}
+    for violation in raw:
+        fired.setdefault((Path(violation.path).resolve(), violation.line), set()).add(
+            violation.code
+        )
     stale: list[Violation] = []
-    for path in files:
-        source = path.read_text(encoding="utf-8")
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError as exc:
-            raise LintError(f"cannot parse {path}: {exc}") from exc
-        ctx = FileContext(path=str(path), source=source, tree=tree)
-        raw: list[Violation] = []
-        for rule in all_rules():
-            raw.extend(rule.check(ctx))
-        fired: dict[int, set[str]] = {}
-        for violation in raw:
-            fired.setdefault(violation.line, set()).add(violation.code)
-        for comment in noqa_comments(source):
-            codes_here = fired.get(comment.line, set())
+    for ctx in contexts:
+        resolved = Path(ctx.path).resolve()
+        for comment in noqa_comments(ctx.source):
+            codes_here = fired.get((resolved, comment.line), set())
             used = bool(codes_here) if comment.is_blanket else bool(
                 codes_here & comment.codes
             )
@@ -103,48 +202,72 @@ def find_unused_noqa(paths: Sequence[str | Path]) -> tuple[list[Violation], int]
                 Violation(
                     code="NOQA",
                     message=f"unused suppression: {detail}",
-                    path=str(path),
+                    path=ctx.path,
                     line=comment.line,
                     col=comment.col,
                 )
             )
-    stale.sort(key=lambda v: (v.path, v.line, v.col))
-    return stale, len(files)
+    stale.sort(key=_order)
+    return stale, len(contexts)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thrifty-lint",
         description=(
-            "Domain-aware static analysis for the Thrifty reproduction: "
-            "checks deterministic-replay, error-hierarchy, float-comparison, "
-            "and typing invariants (rules THR001..THR007)."
+            "Static analysis for the Thrifty reproduction: per-file THR rules "
+            "(deterministic replay, error hierarchy, float comparison, typing) "
+            "on every file under PATHS, and whole-program THRA passes "
+            "(determinism taint, exception flow, lifecycle transitions, API "
+            "drift) on the package found under them.  --list-rules lists both."
         ),
     )
-    parser.add_argument("paths", nargs="*", default=["src"], help="files or directories to lint")
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        default=["src"],
+        help="files or directories to lint; THRA passes run on the package they hold",
+    )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
     parser.add_argument(
         "--select",
         metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
+        help="comma-separated rule and pass codes to run (default: all)",
     )
     parser.add_argument(
         "--ignore",
         metavar="CODES",
-        help="comma-separated rule codes to skip",
+        help="comma-separated rule and pass codes to skip",
     )
     parser.add_argument(
         "--statistics", action="store_true", help="append per-code violation counts"
     )
     parser.add_argument(
-        "--list-rules", action="store_true", help="print the registered rules and exit"
+        "--list-rules", action="store_true", help="print the registered rules and passes and exit"
     )
     parser.add_argument(
         "--unused-noqa",
         action="store_true",
         help="report 'thrifty: noqa' comments that no longer suppress anything",
+    )
+    parser.add_argument(
+        "--api-doc",
+        metavar="PATH",
+        help=(
+            "API document the THRA105 drift pass checks __all__ exports "
+            f"against (default: {_DEFAULT_API_DOC} if present, else the pass is skipped)"
+        ),
+    )
+    parser.add_argument(
+        "--entry",
+        action="append",
+        metavar="PREFIX",
+        help=(
+            "package-relative qualname prefix to use as a replay entry point "
+            "for THRA101 (repeatable; overrides the built-in set)"
+        ),
     )
     return parser
 
@@ -155,8 +278,24 @@ def _parse_codes(raw: str | None) -> list[str] | None:
     return [code.strip().upper() for code in raw.split(",") if code.strip()]
 
 
+def _resolve_api_doc(raw: Optional[str]) -> Optional[Path]:
+    if raw is not None:
+        path = Path(raw)
+        if not path.exists():
+            raise AnalysisError(f"API document not found: {path}")
+        return path
+    default = Path(_DEFAULT_API_DOC)
+    if default.exists():
+        return default
+    sys.stderr.write(
+        f"thrifty-lint: note: {_DEFAULT_API_DOC} not found, "
+        "skipping the THRA105 api-surface pass\n"
+    )
+    return None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code (0 clean, 1 findings)."""
+    """CLI entry point; returns the process exit code (0 clean, 1 findings, 2 usage)."""
     parser = _build_parser()
     opts = parser.parse_args(argv)
     if opts.list_rules:
@@ -164,12 +303,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(f"{rule.code}  {rule.summary}\n")
         return 0
     try:
+        config = default_config()
+        if opts.entry:
+            config.entry_prefixes = tuple(opts.entry)
+        config.api_doc = _resolve_api_doc(opts.api_doc)
         if opts.unused_noqa:
-            violations, files_checked = find_unused_noqa(opts.paths)
+            violations, files_checked = find_unused_noqa(opts.paths, config)
         else:
             rule_set = select_rules(_parse_codes(opts.select), _parse_codes(opts.ignore))
-            violations, files_checked = check_paths(opts.paths, rule_set)
-    except LintError as exc:
+            violations, files_checked = check_paths(opts.paths, rule_set, config)
+    except (LintError, AnalysisError) as exc:
         sys.stderr.write(f"thrifty-lint: error: {exc}\n")
         return 2
     write_report(

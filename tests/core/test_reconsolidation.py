@@ -5,12 +5,16 @@ import json
 import pytest
 
 from repro.core.advisor import DeploymentAdvisor
+from repro.core.runtime import GroupRuntime
 from repro.core.service import ThriftyService
 from repro.errors import DeploymentError
 from repro.obs import MemorySink, Observer
+from repro.units import HOUR
 from repro.workload.activity import ActivityMatrix
 from repro.workload.composer import MultiTenantLogComposer
 from repro.workload.generator import SessionLogGenerator
+from repro.workload.logs import QueryRecord, TenantLog
+from repro.workload.queries import template_by_name
 from tests.conftest import tiny_config
 
 
@@ -143,3 +147,53 @@ class TestServiceReconsolidate:
         service = ThriftyService(tiny_config())
         with pytest.raises(DeploymentError):
             service.reconsolidate(departed=[1])
+
+
+class TestReconsolidateAfterScaling:
+    """Scaled groups are found from the policies' actions, not full reports."""
+
+    def _scaled_service(self, monkeypatch):
+        config = tiny_config(num_tenants=24, seed=19)
+        library = SessionLogGenerator(config, sessions_per_size=2).generate()
+        workload = MultiTenantLogComposer(config, library).compose()
+        observer = Observer(MemorySink())
+        service = ThriftyService(config, scaling="lightweight", observer=observer)
+        service.deploy(workload)
+        # One tenant of tg0 turns over-active from hour 1: back-to-back
+        # heavy queries push its group into lightweight scaling.
+        victim = service.advice.plan.groups[0].placement.tenant_ids[0]
+        spec = workload.tenant(victim)
+        latency = template_by_name("tpcds.q72").dedicated_latency_s(
+            spec.data_gb, spec.nodes_requested
+        )
+        records = [r for r in workload.tenant_log(victim).records if r.submit_time_s < HOUR]
+        t = HOUR
+        while t < 6 * HOUR:
+            records.append(QueryRecord(submit_time_s=t, latency_s=latency, template="tpcds.q72"))
+            t += latency * 1.05 + 0.5
+        heavy = TenantLog(spec, records)
+        lazy_log = workload.lazy_log
+        monkeypatch.setattr(
+            workload, "lazy_log", lambda tid: heavy if tid == victim else lazy_log(tid)
+        )
+        service.replay(until=6 * HOUR)
+        return service, observer
+
+    @staticmethod
+    def _outcome(service, observer, advice):
+        (span,) = observer.memory_sink().spans_of("reconsolidation")
+        groups = [(g.group_name, tuple(g.placement.tenant_ids)) for g in advice.plan]
+        return span.attrs["affected"], span.attrs["torn_down"], groups
+
+    def test_report_is_not_built(self, monkeypatch):
+        service, observer = self._scaled_service(monkeypatch)
+        expected = self._outcome(service, observer, service.reconsolidate())
+        assert expected[0] == ("tg0",)
+
+        service, observer = self._scaled_service(monkeypatch)
+
+        def no_report(self):
+            raise AssertionError("reconsolidate built a full runtime report")
+
+        monkeypatch.setattr(GroupRuntime, "report", no_report)
+        assert self._outcome(service, observer, service.reconsolidate()) == expected

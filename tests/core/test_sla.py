@@ -76,8 +76,6 @@ class TestSLAReport:
             _record(1.0, tenant_id=1, group="b", submit=20.0),
         ]
         report = SLAReport(records)
-        assert len(report.for_tenant(1)) == 2
-        assert len(report.for_group("a")) == 2
         assert len(report.window(5.0, 25.0)) == 2
 
     def test_summary_keys(self):

@@ -3,32 +3,36 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation.clock import Clock
 from repro.simulation.engine import Simulator
+from repro.simulation.events import Event
 
 
 class TestClock:
+    """The simulator's clock: starts at ``start_time``, only moves forward."""
+
     def test_starts_at_zero(self):
-        assert Clock().now == 0.0
+        assert Simulator().now == 0.0
 
     def test_advance(self):
-        clock = Clock()
-        clock.advance_to(5.0)
-        assert clock.now == 5.0
+        sim = Simulator()
+        sim.run(until=5.0)
+        assert sim.now == 5.0
 
     def test_advance_to_same_time_ok(self):
-        clock = Clock(3.0)
-        clock.advance_to(3.0)
-        assert clock.now == 3.0
+        sim = Simulator(3.0)
+        sim.schedule(3.0, lambda t: None)
+        sim.run(until=3.0)
+        assert sim.now == 3.0
 
     def test_no_time_travel(self):
-        clock = Clock(10.0)
+        sim = Simulator(10.0)
         with pytest.raises(SimulationError):
-            clock.advance_to(9.0)
+            sim._fire(Event(time=9.0, callback=lambda t: None))
+        assert sim.now == 10.0
 
     def test_negative_start_rejected(self):
         with pytest.raises(SimulationError):
-            Clock(-1.0)
+            Simulator(-1.0)
 
 
 class TestSimulator:

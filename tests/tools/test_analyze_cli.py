@@ -1,24 +1,14 @@
-"""CLI behaviour of ``thrifty-analyze``, the baseline, and the repo meta-test."""
+"""The THRA passes through the ``thrifty-lint`` CLI, and the repo meta-test."""
 
 from __future__ import annotations
 
 import json
-import textwrap
+import re
 from pathlib import Path
 
-import pytest
-
-from repro.errors import AnalysisError
-from repro.tools.analyze import (
-    AnalyzeConfig,
-    all_passes,
-    analyze_package,
-    apply_baseline,
-    load_baseline,
-    main,
-    stale_entries,
-    write_baseline,
-)
+from repro.tools.lint import AnalysisPass, AnalyzeConfig, all_rules, analyze_package, main
+from repro.tools.lint.runner import collect_files
+from repro.tools.lint.suppress import noqa_comments
 
 from .test_analyze_graph import make_package
 
@@ -94,9 +84,11 @@ class TestCLI:
         assert main([str(tmp_path / "nowhere")]) == 2
 
     def test_list_passes(self, capsys):
-        assert main(["--list-passes"]) == 0
+        assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for analysis_pass in all_passes():
+        passes = [check for check in all_rules() if isinstance(check, AnalysisPass)]
+        assert len(passes) == 5
+        for analysis_pass in passes:
             assert analysis_pass.code in out
 
     def test_statistics_footer(self, tmp_path, monkeypatch, capsys):
@@ -111,96 +103,26 @@ class TestCLI:
         assert cli(pkg, "--api-doc", str(tmp_path / "missing.md")) == 2
 
 
-class TestBaselineCLI:
-    def test_write_then_apply_roundtrip(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        pkg = make_package(tmp_path, LEAKY)
-        assert cli(pkg, "--write-baseline") == 0
-        baseline = tmp_path / "thrifty-analyze-baseline.txt"
-        assert "TODO: justify" in baseline.read_text()
-        capsys.readouterr()
-        assert cli(pkg) == 0  # default baseline picked up, finding accepted
-        assert "clean" in capsys.readouterr().out
-
-    def test_rewrite_preserves_existing_justifications(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        pkg = make_package(tmp_path, LEAKY)
-        assert cli(pkg, "--write-baseline") == 0
-        baseline = tmp_path / "thrifty-analyze-baseline.txt"
-        edited = baseline.read_text().replace("TODO: justify this finding", "measured on purpose")
-        baseline.write_text(edited)
-        assert cli(pkg, "--write-baseline") == 0
-        assert "measured on purpose" in baseline.read_text()
-
-    def test_stale_entry_warns_but_passes(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        pkg = make_package(tmp_path, LEAKY)
-        assert cli(pkg, "--write-baseline") == 0
-        (pkg / "solver.py").write_text("def plan():\n    return 1\n")
-        capsys.readouterr()
-        assert cli(pkg) == 0
-        assert "stale baseline entry" in capsys.readouterr().err
-
-    def test_missing_justification_is_an_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        pkg = make_package(tmp_path, LEAKY)
-        baseline = tmp_path / "thrifty-analyze-baseline.txt"
-        baseline.write_text(
-            "THRA101::app/solver.py::solver.plan::time.perf_counter\n"
-        )
-        assert cli(pkg) == 2
-        assert "justification is mandatory" in capsys.readouterr().err
-
-    def test_explicit_missing_baseline_is_an_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        pkg = make_package(tmp_path, CLEAN)
-        assert cli(pkg, "--baseline", str(tmp_path / "nowhere.txt")) == 2
-
-
-class TestBaselineLibrary:
-    def test_load_rejects_duplicates(self, tmp_path):
-        path = tmp_path / "baseline.txt"
-        path.write_text("FP::a::b::c | one\nFP::a::b::c | two\n")
-        with pytest.raises(AnalysisError):
-            load_baseline(path)
-
-    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "baseline.txt"
-        path.write_text("# header\n\nFP::a::b::c | fine\n")
-        assert load_baseline(path) == {"FP::a::b::c": "fine"}
-
-    def test_apply_and_stale(self, tmp_path):
-        pkg = make_package(tmp_path, LEAKY)
-        findings = analyze_package(pkg, AnalyzeConfig(entry_prefixes=("service.",)))
-        fingerprint = findings[0].fingerprint
-        baseline = {fingerprint: "ok", "GONE::x::y::z": "old"}
-        new, used = apply_baseline(findings, baseline)
-        assert new == []
-        assert used == {fingerprint}
-        assert stale_entries(baseline, used) == ["GONE::x::y::z"]
-
-    def test_write_baseline_is_loadable(self, tmp_path):
-        pkg = make_package(tmp_path, LEAKY)
-        findings = analyze_package(pkg, AnalyzeConfig(entry_prefixes=("service.",)))
-        path = tmp_path / "baseline.txt"
-        write_baseline(path, findings, {})
-        loaded = load_baseline(path)
-        assert set(loaded) == {f.fingerprint for f in findings}
-
-
 class TestRepositoryIsClean:
-    """The standing gate: the analyzer runs clean over the shipped tree."""
+    """The standing gate: the passes run clean over the shipped tree.
+
+    Its baseline, the findings accepted as designed behaviour, is the set of
+    justified ``# thrifty: noqa[THRAxxx] <why>`` comments on their lines.
+    """
 
     def test_tree_is_clean_modulo_baseline(self):
         config = AnalyzeConfig(api_doc=REPO_ROOT / "docs" / "API.md")
         findings = analyze_package(REPO_ROOT / "src" / "repro", config)
-        baseline = load_baseline(REPO_ROOT / "thrifty-analyze-baseline.txt")
-        new, used = apply_baseline(findings, baseline)
-        assert new == [], "\n".join(f.format_text() for f in new)
-        assert stale_entries(baseline, used) == []
+        assert findings == [], "\n".join(f.format_text() for f in findings)
 
     def test_shipped_baseline_entries_are_justified(self):
-        baseline = load_baseline(REPO_ROOT / "thrifty-analyze-baseline.txt")
-        assert baseline, "expected the three accepted THRA101 findings"
-        for fingerprint, justification in baseline.items():
-            assert "TODO" not in justification, fingerprint
+        """Every ``thrifty: noqa`` in the shipped trees says why, after its codes."""
+        marker = re.compile(r"#\s*thrifty:\s*noqa(\[[^\]]*\])?", re.IGNORECASE)
+        roots = [REPO_ROOT / name for name in ("src", "benchmarks", "examples")]
+        for path in collect_files(roots):
+            source = path.read_text(encoding="utf-8")
+            lines = source.splitlines()
+            for comment in noqa_comments(source):
+                text = lines[comment.line - 1][comment.col - 1 :]
+                justification = marker.sub("", text, count=1).strip()
+                assert justification, f"{path}:{comment.line}: noqa without a justification"

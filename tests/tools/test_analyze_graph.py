@@ -1,4 +1,4 @@
-"""Program-graph construction and call resolution for ``thrifty-analyze``."""
+"""Program-graph construction and call resolution for the THRA passes."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.errors import AnalysisError, ReproError
-from repro.tools.analyze import build_program, find_package_root
-from repro.tools.analyze.graph import ProgramGraph
+from repro.tools.lint import build_program, find_package_root
+from repro.tools.lint.graph import ProgramGraph
 
 
 def make_package(tmp_path: Path, files: dict[str, str], name: str = "app") -> Path:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.tools.analyze import AnalyzeConfig, build_program, default_transition_tables, run_passes
-from repro.tools.analyze.passes.api_surface import ApiSurfaceDriftPass
-from repro.tools.analyze.passes.determinism import DeterminismTaintPass
-from repro.tools.analyze.passes.exceptions import DeadHandlerPass, PublicBuiltinEscapePass
-from repro.tools.analyze.passes.lifecycle import LifecycleTransitionPass
+from repro.tools.lint import AnalyzeConfig, build_program, default_transition_tables, run_passes
+from repro.tools.lint.passes.api_surface import ApiSurfaceDriftPass
+from repro.tools.lint.passes.determinism import DeterminismTaintPass
+from repro.tools.lint.passes.exceptions import DeadHandlerPass, PublicBuiltinEscapePass
+from repro.tools.lint.passes.lifecycle import LifecycleTransitionPass
 
 from .test_analyze_graph import make_package
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import LintError, ReproError
-from repro.tools.lint import all_rules, check_paths, collect_files, main, select_rules
+from repro.tools.lint import all_rules, check_paths, collect_files, main, rule_codes, select_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -95,6 +95,14 @@ class TestLibraryAPI:
         path = _write(tmp_path, "pkg/broken.py", "def f(:\n")
         with pytest.raises(LintError):
             check_paths([path])
+
+
+class TestDocs:
+    def test_every_code_has_a_doc_heading(self):
+        doc = (REPO_ROOT / "docs" / "STATIC_ANALYSIS.md").read_text(encoding="utf-8")
+        headings = {line.split()[1] for line in doc.splitlines() if line.startswith("### ")}
+        assert len(rule_codes()) == 14
+        assert set(rule_codes()) <= headings
 
 
 class TestRepositoryIsClean:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.tools.lint import check_paths, main
+from repro.tools.lint import AnalyzeConfig, check_paths, main
 from repro.tools.lint.registry import Violation
 from repro.tools.lint.runner import find_unused_noqa
 from repro.tools.lint.suppress import (
@@ -15,6 +15,8 @@ from repro.tools.lint.suppress import (
     noqa_comments,
     suppressed_codes,
 )
+
+from .test_analyze_graph import make_package
 
 
 def _violation(line: int, code: str = "THR003") -> Violation:
@@ -134,6 +136,34 @@ class TestUnusedNoqa:
         clean = tmp_path / "clean.py"
         clean.write_text("y = 2\n")
         assert main([str(clean), "--unused-noqa"]) == 0
+
+    def test_thra_noqa_is_used_only_where_its_pass_fires(self, tmp_path, capsys):
+        pkg = make_package(
+            tmp_path,
+            {
+                "service.py": """
+                from .solver import plan
+
+                class Replay:
+                    def run(self):
+                        return plan()
+                """,
+                "solver.py": """
+                import time
+
+                def plan():
+                    return time.perf_counter()  # thrifty: noqa[THRA101] measured on purpose
+
+                X = 1  # thrifty: noqa[THRA101] nothing fires here
+                """,
+            },
+        )
+        config = AnalyzeConfig(entry_prefixes=("service.",))
+        stale, _ = find_unused_noqa([pkg], config)
+        assert [(Path(v.path).name, v.line) for v in stale] == [("solver.py", 7)]
+        assert "THRA101" in stale[0].message
+        assert main([str(pkg), "--entry", "service.", "--unused-noqa"]) == 1
+        assert "solver.py:7:" in capsys.readouterr().out
 
     def test_repo_has_no_unused_noqa(self):
         repo_root = Path(__file__).resolve().parents[2]
