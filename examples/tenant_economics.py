@@ -42,7 +42,7 @@ def main() -> None:
     rows = []
     for size in sorted(by_size):
         tenants = by_size[size]
-        invoices = [pricing.invoice(workload.tenant_log(t.tenant_id)) for t in tenants]
+        invoices = [pricing.invoice(workload.lazy_log(t.tenant_id)) for t in tenants]
         mean_bill = sum(i.amount for i in invoices) / len(invoices)
         mean_hours = sum(i.active_hours for i in invoices) / len(invoices)
         dedicated = pricing.dedicated_cost(size, period_hours)

@@ -95,7 +95,7 @@ def validate_workload(
     horizon_days = workload.horizon_s / DAY
     busy_hours = []
     for tenant_id in sample:
-        log = workload.tenant_log(tenant_id)
+        log = workload.lazy_log(tenant_id)
         busy_hours.append(log.total_busy_seconds() / 3600.0 / horizon_days)
     mean_busy = float(np.mean(busy_hours))
     if mean_busy > 16.0:

@@ -25,12 +25,14 @@ from typing import Optional, Sequence
 from .analysis.report import ascii_series, format_table
 from .analysis.sweeps import (
     GROUPING_HEADERS,
+    SWEEP_PARAMETERS,
     BenchScale,
     build_workload,
     sweep_parameter,
 )
 from .config import EvaluationConfig
-from .core.service import ThriftyService
+from .core.advisor import GROUPING_ALGORITHMS
+from .core.service import SCALING_POLICIES, ThriftyService
 from .errors import ConfigurationError, ReproError
 from .mppdb.loading import LoadTimeModel, PAPER_LOAD_TABLE
 from .obs import MemorySink, Observer, load_run_report, write_run_report
@@ -62,17 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="compute a deployment plan")
     add_config_args(plan)
-    plan.add_argument("--grouping", choices=("two-step", "ffd"), default="two-step")
+    plan.add_argument("--grouping", choices=sorted(GROUPING_ALGORITHMS), default="two-step")
     plan.add_argument("--groups", action="store_true", help="print per-group detail")
 
     replay = sub.add_parser("replay", help="plan, deploy and replay the logs")
     add_config_args(replay)
-    replay.add_argument("--grouping", choices=("two-step", "ffd"), default="two-step")
-    replay.add_argument(
-        "--scaling",
-        choices=("lightweight", "proactive", "whole-group", "disabled"),
-        default="lightweight",
-    )
+    replay.add_argument("--grouping", choices=sorted(GROUPING_ALGORITHMS), default="two-step")
+    replay.add_argument("--scaling", choices=sorted(SCALING_POLICIES), default="lightweight")
     replay.add_argument("--replay-days", type=float, default=1.0, help="days of logs to replay")
     replay.add_argument(
         "--chaos-mtbf",
@@ -90,10 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a Table 7.1-style parameter sweep")
     add_scale_args(sweep)
-    sweep.add_argument(
-        "parameter",
-        choices=("epoch_size_s", "num_tenants", "theta", "replication_factor", "sla_percent"),
-    )
+    sweep.add_argument("parameter", choices=sorted(SWEEP_PARAMETERS))
     sweep.add_argument("values", nargs="+", help="parameter values to sweep")
     sweep.add_argument(
         "--workers",

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..units import HOUR
+from ..workload.composer import LazyTenantLog
 from ..workload.logs import TenantLog
 
 __all__ = ["PricingModel", "TenantInvoice"]
@@ -53,8 +54,8 @@ class PricingModel:
         if self.minimum_billable_hours < 0:
             raise ConfigurationError("minimum_billable_hours must be >= 0")
 
-    def invoice(self, log: TenantLog) -> TenantInvoice:
-        """Bill a tenant for the activity recorded in its log."""
+    def invoice(self, log: TenantLog | LazyTenantLog) -> TenantInvoice:
+        """Bill a tenant for the activity recorded in its log (either kind)."""
         active_hours = max(
             log.total_busy_seconds() / HOUR, self.minimum_billable_hours
         )

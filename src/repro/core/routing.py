@@ -32,7 +32,11 @@ __all__ = [
     "RoundRobinRouter",
     "AlwaysTuningRouter",
     "classify_decision",
+    "ROUTING_OUTCOMES",
 ]
+
+#: Every outcome :func:`classify_decision` can name.
+ROUTING_OUTCOMES = ("pinned", "tenant-affinity", "tuning-free", "free", "overflow")
 
 
 class QueryRouter(abc.ABC):
@@ -183,9 +187,9 @@ def classify_decision(
     """Name the Algorithm 1 branch that produced a routing decision.
 
     Must be called *before* the query is submitted (the checks read the
-    pre-submit busy/active state the router itself saw).  Outcomes:
-    ``pinned``, ``tenant-affinity``, ``tuning-free``, ``free`` and
-    ``overflow`` (the all-busy fall-through onto ``MPPDB_0``).
+    pre-submit busy/active state the router itself saw); one of
+    :data:`ROUTING_OUTCOMES`, ``overflow`` being the all-busy fall-through
+    onto ``MPPDB_0``.
     """
     if router.pinned_tenants.get(tenant_id) is instance:
         return "pinned"

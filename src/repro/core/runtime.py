@@ -25,6 +25,7 @@ collection on the tenant's dedicated, exactly-sized MPPDB.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
@@ -34,7 +35,7 @@ from ..errors import DeploymentError, NoHealthyInstanceError
 from ..mppdb.execution import QueryExecution
 from ..mppdb.instance import MPPDBInstance
 from ..mppdb.provisioning import Provisioner
-from ..obs.observer import NULL_OBSERVER, GroupInstruments, Observer
+from ..obs.observer import NULL_OBSERVER, Observer
 from ..obs.tracing import STATUS_INFLIGHT, Span
 from ..simulation.engine import Simulator
 from ..simulation.events import ScheduledEvent
@@ -50,7 +51,7 @@ from .fault import (
 )
 from .master import DeployedGroup
 from .monitor import GroupActivityMonitor
-from .routing import QueryRouter, TDDRouter, classify_decision
+from .routing import ROUTING_OUTCOMES, QueryRouter, TDDRouter, classify_decision
 from .scaling import DisabledScaling, ScalingAction, ScalingPolicy
 from .sla import SLARecord, SLAReport
 
@@ -153,9 +154,6 @@ class GroupRuntime:
     record when it is due.  Extra tenants are ignored.
     """
 
-    # Bound once when the observer is enabled; read only behind that guard.
-    _metrics: GroupInstruments
-
     def __init__(
         self,
         deployed: DeployedGroup,
@@ -195,7 +193,6 @@ class GroupRuntime:
         self._sla_records: list[SLARecord] = []
         self._rt_ttp_samples: list[tuple[float, float]] = []
         self._submitted = 0
-        self._completed = 0
         self._overflow = 0
         # Every first-submitted query is in ``_live`` (in first-submission
         # order) until its one terminal removes it, so ``completed + failed
@@ -208,7 +205,6 @@ class GroupRuntime:
         self._fault = fault if fault is not None else DEFAULT_RETRY_POLICY
         self._fault_rng = fault_rng
         self._retried = 0
-        self._failed_count = 0
         self._failovers = 0
         self._fault_records: list[FaultRecord] = []
         if health is not None:
@@ -220,8 +216,7 @@ class GroupRuntime:
         self._scheduled = False
         self._observer = observer if observer is not None else NULL_OBSERVER
         if self._observer.enabled:
-            self._metrics = self._observer.bind_group(deployed.group_name)
-            self._monitor.observe_with(self._observer)
+            self._observe(self._observer)
 
     @property
     def monitor(self) -> GroupActivityMonitor:
@@ -237,6 +232,53 @@ class GroupRuntime:
     def scaling_actions(self) -> tuple[ScalingAction, ...]:
         """Elastic-scaling actions the group's policy has taken so far."""
         return tuple(self._scaling.actions)
+
+    def _observe(self, o: Observer) -> None:
+        """Bind the group's metric handles once and register its collector.
+
+        Only the RT-TTP gauge and the routing-outcome counter are pushed as
+        events happen; :meth:`_collect` publishes the rest at every scrape.
+        """
+        group = self._deployed.group_name
+        self._books = tuple(family.labels(group=group) for family in (
+            o.queries_submitted, o.queries_completed, o.queries_overflow, o.query_retries,
+            o.failovers, o.queries_failed, o.sla_violations,
+        ))
+        self._latency = o.query_latency.labels(group=group)
+        self._normalized = o.normalized_latency.labels(group=group)
+        self._rt_ttp_gauge = o.rt_ttp.labels(group=group)
+        routing = o.routing_decisions
+        self._routed = {k: routing.labels(group=group, outcome=k) for k in ROUTING_OUTCOMES}
+        self._unmet, self._seen = 0, (0,) * 7
+        o.metrics.add_collector(self._collect)
+        self._monitor.observe_with(o)
+
+    def _collect(self) -> None:
+        """Publish the group's books as counter totals (the scrape).
+
+        Returns at once when the books are unchanged.  SLA records new since
+        the last scrape fold into the histograms in completion order, so each
+        sum adds the same floats in the same order as per-completion updates.
+        """
+        records, seen = self._sla_records, self._seen
+        books = (len(records), len(self._fault_records), len(self._live), self._overflow,
+                 self._retried, self._failovers, len(self._scaling.actions))
+        if books == seen:
+            return
+        time = self._sim.now
+        for record in records[seen[0]:]:
+            self._latency.observe(time, record.observed_latency_s)
+            self._normalized.observe(time, record.normalized)
+            self._unmet += not record.met
+        self._seen = books
+        completed, failed, live, *tallies, __ = books  # tallies: overflow, retries, failovers
+        totals = (completed + failed + live, completed, *tallies, failed, self._unmet + failed)
+        for handle, total in zip(self._books, totals):
+            handle.set_total(time, total)
+        group = self._deployed.group_name
+        kinds = Counter(a.kind for a in self._scaling.actions if a.group_name == group)
+        for kind, count in kinds.items():
+            self._observer.scaling_actions.labels(group=group, kind=kind).set_total(time, count)
 
     def _wire_instance(self, instance: MPPDBInstance) -> None:
         """Hook this runtime onto an instance it is about to use for the first time.
@@ -265,14 +307,13 @@ class GroupRuntime:
     def _submit(self, tenant_id: int, record: QueryRecord, time: float) -> None:
         """First submission of a logged query: open its state, then dispatch.
 
-        Submission metrics and the lifecycle span are created here exactly
-        once, however many retries or park episodes follow.
+        The lifecycle span is created here exactly once, however many
+        retries or park episodes follow.
         """
         state = _QueryState(tenant_id, record, time)
         self._live[state] = None
         observer = self._observer
         if observer.enabled:
-            self._metrics.submitted.inc(time)
             state.span = observer.tracer.start_span(
                 "query",
                 time,
@@ -305,8 +346,6 @@ class GroupRuntime:
         span = state.span
         if failed_from is not None and instance.name != failed_from:
             self._failovers += 1
-            if observer.enabled:
-                self._metrics.failovers.inc(time)
             if span is not None:
                 span.add_event(
                     time, "failover", failed=failed_from, survivor=instance.name
@@ -314,7 +353,7 @@ class GroupRuntime:
         if observer.enabled:
             # Classify and trace against the pre-submit state the router saw.
             outcome = classify_decision(self._router, tenant_id, instance)
-            self._metrics.routing(outcome).inc(time)
+            self._routed[outcome].inc(time)
             if span is not None:
                 span.add_event(
                     time, "route", instance=instance.name, outcome=outcome, attempt=state.attempts
@@ -323,8 +362,6 @@ class GroupRuntime:
             tenant_id not in instance.active_tenants
         ):
             self._overflow += 1
-            if observer.enabled:
-                self._metrics.overflow.inc(time)
         spec = self._deployed.deployment.tenant(tenant_id)
         template = template_by_name(record.template)
         work = (
@@ -381,8 +418,6 @@ class GroupRuntime:
             return
         delay = self._fault.backoff_s(attempt, self._fault_rng)
         self._retried += 1
-        if self._observer.enabled:
-            self._metrics.retries.inc(now)
         if span is not None:
             span.add_event(now, "retry", delay_s=round(delay, 6), attempt=attempt + 1)
         self._sim.schedule_after(
@@ -433,7 +468,6 @@ class GroupRuntime:
     def _settle(self, state: _QueryState, instance_name: str, finish: float) -> None:
         """Terminal: the query completed on ``instance_name`` at ``finish``."""
         del self._live[state]
-        self._completed += 1
         self._monitor.on_query_finish(state.tenant, finish)
         record = state.record
         # A retried query's observed latency spans from its *first*
@@ -448,21 +482,13 @@ class GroupRuntime:
             observed_latency_s=finish - state.first_submit,
         )
         self._sla_records.append(sla_record)
-        observer = self._observer
-        if observer.enabled:
-            metrics = self._metrics
-            metrics.completed.inc(finish)
-            metrics.latency.observe(finish, sla_record.observed_latency_s)
-            metrics.normalized.observe(finish, sla_record.normalized)
+        span = state.span
+        if span is not None:
             status = "complete" if sla_record.met else "violate"
-            if status == "violate":
-                metrics.violations.inc(finish)
-            span = state.span
-            if span is not None:
-                span.set_attr("observed_latency_s", sla_record.observed_latency_s)
-                span.set_attr("normalized", round(sla_record.normalized, 9))
-                span.add_event(finish, status)
-                span.finish(finish, status=status)
+            span.set_attr("observed_latency_s", sla_record.observed_latency_s)
+            span.set_attr("normalized", round(sla_record.normalized, 9))
+            span.add_event(finish, status)
+            span.finish(finish, status=status)
 
     def _fail(self, state: _QueryState, time: float, reason: str) -> None:
         """Terminal: surface a query that fault handling could not save."""
@@ -479,11 +505,6 @@ class GroupRuntime:
                 attempts=attempts,
             )
         )
-        self._failed_count += 1
-        observer = self._observer
-        if observer.enabled:
-            self._metrics.failed.inc(time)
-            self._metrics.violations.inc(time)
         span = state.span
         if span is not None:
             span.add_event(time, "failed", reason=reason, attempts=attempts)
@@ -514,17 +535,23 @@ class GroupRuntime:
         self._rt_ttp_samples.append((time, rt_ttp))
         observer = self._observer
         if observer.enabled:
-            self._metrics.rt_ttp.set(time, rt_ttp)
-        self._scaling.maybe_scale(
+            self._rt_ttp_gauge.set(time, rt_ttp)
+        action = self._scaling.maybe_scale(
             time,
             self._deployed,
             self._monitor,
             self._router,
             self._provisioner,
             self._sla_fraction,
-            observer=observer,
             rt_ttp=rt_ttp,
         )
+        if action is not None and observer.enabled:
+            # The span runs from the trigger to the new MPPDB's expected readiness.
+            observer.tracer.start_span(
+                "scaling", time, kind="scaling", group=action.group_name, policy=action.kind,
+                over_active=action.over_active, instance=action.instance_name,
+                loaded_gb=action.loaded_gb, rt_ttp=round(rt_ttp, 5),
+            ).finish(action.expected_ready_time)
         observer.metrics.flush(time)
 
     def schedule(self, until: float) -> int:
@@ -585,10 +612,10 @@ class GroupRuntime:
             rt_ttp_samples=list(self._rt_ttp_samples),
             scaling_actions=list(self._scaling.actions),
             queries_submitted=self._submitted,
-            queries_completed=self._completed,
+            queries_completed=len(self._sla_records),
             overflow_queries=self._overflow,
             queries_retried=self._retried,
-            queries_failed=self._failed_count,
+            queries_failed=len(self._fault_records),
             failovers=self._failovers,
             fault_records=list(self._fault_records),
         )

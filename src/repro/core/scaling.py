@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,15 +43,13 @@ from .master import DeployedGroup
 from .monitor import GroupActivityMonitor
 from .routing import QueryRouter
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.observer import Observer
-
 __all__ = [
     "ScalingAction",
     "ScalingPolicy",
     "LightweightScaling",
     "WholeGroupScaling",
     "DisabledScaling",
+    "ProactiveScaling",
 ]
 
 #: A tenant is *over-active* when its window activity exceeds its
@@ -97,7 +95,6 @@ class ScalingPolicy(abc.ABC):
         router: QueryRouter,
         provisioner: Provisioner,
         sla_fraction: float,
-        observer: Optional["Observer"] = None,
         rt_ttp: Optional[float] = None,
     ) -> Optional[ScalingAction]:
         """Check the trigger and, if firing, start a scale-up.
@@ -128,25 +125,6 @@ class ScalingPolicy(abc.ABC):
             # being handled.
             self._last_action[group.group_name] = action.expected_ready_time
             self.actions.append(action)
-            if observer is not None and observer.enabled:
-                observer.scaling_actions.labels(
-                    group=group.group_name, kind=action.kind
-                ).inc(now)
-                # The span covers the heavyweight part: trigger to the new
-                # MPPDB's expected readiness (known up front — the load
-                # model is deterministic).
-                span = observer.tracer.start_span(
-                    "scaling",
-                    now,
-                    kind="scaling",
-                    group=group.group_name,
-                    policy=action.kind,
-                    over_active=action.over_active,
-                    instance=action.instance_name,
-                    loaded_gb=action.loaded_gb,
-                    rt_ttp=round(rt_ttp, 5),
-                )
-                span.finish(action.expected_ready_time)
         return action
 
     def _should_scale(self, now: float, group_name: str, rt_ttp: float, sla_fraction: float) -> bool:
@@ -443,6 +421,3 @@ class ProactiveScaling(LightweightScaling):
             return True  # already violating: react like the base policy
         predicted = self.predict_rt_ttp(group_name, now + self.lead_time_s)
         return predicted is not None and predicted < sla_fraction
-
-
-__all__.append("ProactiveScaling")

@@ -351,6 +351,6 @@ class ThriftyService:
             raise DeploymentError("deploy() must be called first")
         model = pricing if pricing is not None else PricingModel()
         return [
-            model.invoice(self._workload.tenant_log(tenant_id))
+            model.invoice(self._workload.lazy_log(tenant_id))
             for tenant_id in self._workload.tenant_ids
         ]

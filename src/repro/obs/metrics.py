@@ -24,6 +24,10 @@ tenants) are what the run report is built from.  ``value()``,
 ``snapshot()`` and :meth:`MetricsRegistry.to_prometheus_text` read the
 live state.
 
+State an application keeps anyway is not pushed a second time: a
+collector (:meth:`MetricsRegistry.add_collector`) publishes it at each
+scrape, Prometheus's pull model.
+
 When the sink is disabled, updates return before touching any state —
 the registry is free to share between an instrumented runtime and a
 replay that never looks at it.
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..errors import ObservabilityError
 from .sink import MetricSample, ObsSink, NULL_SINK
@@ -115,6 +119,12 @@ class BoundCounter:
     def inc(self, time: float, amount: float = 1.0) -> None:
         """Add ``amount`` (default 1) at simulated ``time``."""
         self._family.inc_key(self._key, time, amount)
+
+    def set_total(self, time: float, total: float) -> None:
+        """Raise the child to a total kept elsewhere; unchanged is no update."""
+        delta = total - self._family._values.get(self._key, 0.0)
+        if delta:
+            self._family.inc_key(self._key, time, delta)
 
 
 class Counter(MetricFamily):
@@ -337,6 +347,7 @@ class MetricsRegistry:
     def __init__(self, sink: Optional[ObsSink] = None) -> None:
         self.sink: ObsSink = sink if sink is not None else NULL_SINK
         self._families: dict[str, MetricFamily] = {}
+        self._collectors: list[Callable[[], None]] = []
 
     def __iter__(self) -> Iterator[MetricFamily]:
         return iter(sorted(self._families.values(), key=lambda f: f.name))
@@ -383,6 +394,10 @@ class MetricsRegistry:
         assert isinstance(family, Histogram)
         return family
 
+    def add_collector(self, collect: Callable[[], None]) -> None:
+        """Run ``collect()`` before every scrape: :meth:`flush` and Prometheus text."""
+        self._collectors.append(collect)
+
     def flush(self, time: float) -> None:
         """Snapshot counters and histograms into the sink at simulated ``time``.
 
@@ -392,11 +407,15 @@ class MetricsRegistry:
         """
         if not self.sink.enabled:
             return
+        for collect in self._collectors:
+            collect()
         for family in self:
             family.flush(time)
 
     def to_prometheus_text(self) -> str:
         """Render the current snapshot in the Prometheus text format."""
+        for collect in self._collectors:
+            collect()
         lines: list[str] = []
         for family in self:
             lines.append(f"# HELP {family.name} {family.help_text}")

@@ -1,13 +1,15 @@
 """The :class:`Observer` façade: one handle for sink + metrics + tracer.
 
-The instrumented layers (:mod:`repro.core.runtime`, routing, scaling, the
-Tenant Activity Monitor, the execution engine) each hold one observer and
-guard every instrumentation site with ``observer.enabled`` — a single
+The instrumented layers (:mod:`repro.core.runtime`, the Tenant Activity
+Monitor, the execution engine, the health manager) each hold one observer
+and guard every instrumentation site with ``observer.enabled`` — a single
 attribute load and branch when observability is off.
 
 The observer pre-declares the standard Thrifty instrument set (metric
 names are part of the public contract; see ``docs/OBSERVABILITY.md``), so
-all layers agree on names and labels without string-typo drift.
+all layers agree on names and labels without string-typo drift.  Each
+layer binds the handles it uses itself; a group runtime's counters and
+latency histograms are published by its collector at every scrape.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .metrics import (
-    BoundCounter,
-    BoundGauge,
-    BoundHistogram,
     Counter,
     DEFAULT_CONCURRENCY_BUCKETS,
     DEFAULT_NORMALIZED_BUCKETS,
@@ -28,7 +27,7 @@ from .metrics import (
 from .sink import AttrValue, MemorySink, NULL_SINK, ObsEvent, ObsSink
 from .tracing import Tracer
 
-__all__ = ["Observer", "GroupInstruments", "NULL_OBSERVER"]
+__all__ = ["Observer", "NULL_OBSERVER"]
 
 
 class Observer:
@@ -131,10 +130,6 @@ class Observer:
             ("instance",),
         )
 
-    def bind_group(self, group: str) -> "GroupInstruments":
-        """The per-group handles a replay updates, bound to ``group`` once."""
-        return GroupInstruments(self, group)
-
     @property
     def enabled(self) -> bool:
         """Whether instrumentation sites should do any work."""
@@ -148,37 +143,6 @@ class Observer:
     def memory_sink(self) -> Optional[MemorySink]:
         """The :class:`MemorySink` behind this observer, if it has one."""
         return self.sink if isinstance(self.sink, MemorySink) else None
-
-
-class GroupInstruments:
-    """One tenant group's metric handles, bound when its runtime is wired.
-
-    Binding validates the label set once, so the per-query sites update
-    a child directly; routing outcomes are bound on first use.
-    """
-
-    def __init__(self, observer: Observer, group: str) -> None:
-        self.submitted: BoundCounter = observer.queries_submitted.labels(group=group)
-        self.completed: BoundCounter = observer.queries_completed.labels(group=group)
-        self.overflow: BoundCounter = observer.queries_overflow.labels(group=group)
-        self.violations: BoundCounter = observer.sla_violations.labels(group=group)
-        self.latency: BoundHistogram = observer.query_latency.labels(group=group)
-        self.normalized: BoundHistogram = observer.normalized_latency.labels(group=group)
-        self.rt_ttp: BoundGauge = observer.rt_ttp.labels(group=group)
-        self.retries: BoundCounter = observer.query_retries.labels(group=group)
-        self.failovers: BoundCounter = observer.failovers.labels(group=group)
-        self.failed: BoundCounter = observer.queries_failed.labels(group=group)
-        self._group = group
-        self._routing_family = observer.routing_decisions
-        self._routing: dict[str, BoundCounter] = {}
-
-    def routing(self, outcome: str) -> BoundCounter:
-        """The routing-decision counter for one Algorithm 1 outcome."""
-        handle = self._routing.get(outcome)
-        if handle is None:
-            handle = self._routing_family.labels(group=self._group, outcome=outcome)
-            self._routing[outcome] = handle
-        return handle
 
 
 #: Shared do-nothing observer used as the default everywhere.

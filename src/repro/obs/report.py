@@ -45,14 +45,15 @@ class RunReportPaths:
 def _counter_last_by_label(
     sink: MemorySink, name: str, label: str
 ) -> dict[str, float]:
-    """Final running total of a counter, keyed by one label's value."""
-    totals: dict[str, float] = {}
+    """Final running total of each child of a counter, summed by one label's value."""
+    last: dict[tuple[tuple[str, str], ...], float] = {}
     for sample in sink.metrics:
-        if sample.name != name:
-            continue
-        labels = dict(sample.labels)
-        key = labels.get(label, "")
-        totals[key] = sample.value  # samples arrive in order; last wins
+        if sample.name == name:
+            last[sample.labels] = sample.value  # samples arrive in order; last wins
+    totals: dict[str, float] = {}
+    for labels, value in last.items():
+        key = dict(labels).get(label, "")
+        totals[key] = totals.get(key, 0.0) + value
     return totals
 
 
@@ -112,18 +113,7 @@ def build_summary(
             ),
         }
 
-    # Counters emit running totals per (group, outcome); keep the final
-    # total of each pair, then aggregate across groups per outcome.
-    per_pair: dict[tuple[str, str], float] = {}
-    for sample in sink.metrics:
-        if sample.name != "thrifty_routing_decisions_total":
-            continue
-        labels = dict(sample.labels)
-        per_pair[(labels.get("group", ""), labels.get("outcome", ""))] = sample.value
-    routing: dict[str, float] = {}
-    for (_, outcome), value in per_pair.items():
-        routing[outcome] = routing.get(outcome, 0.0) + value
-
+    routing = _counter_last_by_label(sink, "thrifty_routing_decisions_total", "outcome")
     node_failures = _counter_last_by_label(sink, "thrifty_node_failures_total", "instance")
     retries = _counter_last_by_label(sink, "thrifty_query_retries_total", "group")
     failovers = _counter_last_by_label(sink, "thrifty_failovers_total", "group")

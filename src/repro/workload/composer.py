@@ -104,20 +104,40 @@ def _in_log_order(runs: list[_PickRun]) -> Iterator[Iterator[QueryRecord]]:
 
 
 class LazyTenantLog:
-    """A composed tenant's log, read through :meth:`submissions` only.
+    """A composed tenant's log, read without materializing it.
 
-    Equivalent to ``ComposedWorkload.tenant_log`` for the replay, but it
-    counts the records before a horizon by binary search over each
-    session's cached submit times and builds each record when the
-    iterator reaches it.
+    Equivalent to ``ComposedWorkload.tenant_log`` for the replay and for
+    billing, but it counts the records before a horizon by binary search
+    over each session's cached submit times and builds each record when
+    the iterator reaches it.
     """
 
     def __init__(
         self, tenant: TenantSpec, picks: tuple[SessionPick, ...], library: SessionLibrary
     ) -> None:
         self.tenant = tenant
+        self.tenant_id = tenant.tenant_id
         self._picks = picks
         self._library = library
+
+    def total_busy_seconds(self) -> float:
+        """Total time the tenant is active, exactly ``TenantLog.total_busy_seconds``.
+
+        Builds no record: intervals shift with ``QueryRecord.shifted``'s float
+        operations; the union's lengths sum in ``merge_intervals``' order.
+        """
+        orders = [(self._library.replay_order(p.node_size, p.session_index), p.shift_s)
+                  for p in self._picks]
+        start = np.concatenate([np.add(o.times, shift) for o, shift in orders] or [[]])
+        if not start.size:
+            return 0.0
+        end = start + np.concatenate([[r.latency_s for r in o.records] for o, __ in orders])
+        by_start = np.lexsort((end, start))
+        start, end = start[by_start], np.maximum.accumulate(end[by_start])
+        # A busy period opens where an interval starts after all earlier ones
+        # end, and closes at the running maximum just before the next opens.
+        first = np.flatnonzero(np.r_[True, start[1:] > end[:-1]])
+        return sum((end[np.r_[first[1:] - 1, -1]] - start[first]).tolist())
 
     def submissions(self, until: float) -> Submissions:
         """The records the tenant submits before ``until``, in log order."""

@@ -41,6 +41,41 @@ def assert_spans_emitted_once(observer, time: float) -> None:
     assert observer.tracer.start_span("probe", time).span_id == len(ids) + 1
 
 
+def assert_counters_match_books(observer, report) -> None:
+    """Each group's counters and latency histogram equal its runtime report.
+
+    ``report`` is a finished ``ServiceReport``; the counters were last
+    published at its horizon flush.
+    """
+    for group, r in report.group_reports.items():
+        books = {
+            observer.queries_submitted: r.queries_submitted,
+            observer.queries_completed: r.queries_completed,
+            observer.queries_overflow: r.overflow_queries,
+            observer.query_retries: r.queries_retried,
+            observer.failovers: r.failovers,
+            observer.queries_failed: r.queries_failed,
+            observer.sla_violations: len(r.sla.violations()) + r.queries_failed,
+        }
+        for family, total in books.items():
+            assert family.value(group=group) == total, (family.name, group)
+        latency = observer.query_latency.snapshot().get((("group", group),))
+        observed = 0.0
+        for record in r.sla.records:
+            observed += record.observed_latency_s
+        counted = (latency.count, latency.total) if latency is not None else (0, 0.0)
+        assert counted == (r.queries_completed, observed), group
+        kinds: dict[str, int] = {}
+        for action in r.scaling_actions:
+            kinds[action.kind] = kinds.get(action.kind, 0) + 1
+        published = {
+            dict(key)["kind"]: value
+            for key, value in observer.scaling_actions.snapshot().items()
+            if dict(key)["group"] == group
+        }
+        assert published == kinds, group
+
+
 @pytest.fixture(scope="session")
 def config() -> EvaluationConfig:
     return tiny_config()

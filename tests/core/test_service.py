@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.pricing import PricingModel
 from repro.core.service import SCALING_POLICIES, ThriftyService
 from repro.errors import DeploymentError
 from repro.units import DAY
+from repro.workload.composer import ComposedWorkload, MultiTenantLogComposer
+from repro.workload.generator import SessionLogGenerator
 from tests.conftest import tiny_config
 
 
@@ -92,6 +95,22 @@ class TestInvoices:
         invoices = service.invoices()
         assert len(invoices) == len(workload)
         assert all(inv.amount >= 0 for inv in invoices)
+
+    @pytest.mark.parametrize("seed", [13, 20130625])
+    def test_invoices_equal_the_materialized_log_path(self, seed, monkeypatch):
+        config = tiny_config(num_tenants=30, seed=seed)
+        library = SessionLogGenerator(config, sessions_per_size=2).generate()
+        workload = MultiTenantLogComposer(config, library).compose()
+        service = ThriftyService(config)
+        service.deploy(workload)
+        model = PricingModel()
+        want = [model.invoice(workload.tenant_log(t)) for t in workload.tenant_ids]
+
+        def refuse(self, tenant_id):
+            raise AssertionError("invoices() materialized a tenant log")
+
+        monkeypatch.setattr(ComposedWorkload, "tenant_log", refuse)
+        assert service.invoices(model) == want
 
 
 class TestConfiguration:

@@ -4,10 +4,10 @@
 scenario (the CI chaos smoke, scaled down) exercises every exporter
 input: query spans through retry, failover, failure and the horizon,
 scaling and replacement spans, counters, gauges and the fault section of
-``summary.json``.  The digests pin ``summary.json`` and ``spans.jsonl``
-byte for byte: how the metrics plane stores and snapshots its
-instruments must not move either file.  ``metrics.jsonl`` is not pinned;
-its cadence is documented in docs/OBSERVABILITY.md.
+``summary.json``.  The digests pin all three files byte for byte: how the
+metrics plane stores, collects and snapshots its instruments must move
+none of them — ``metrics.jsonl`` included, whose rows and cadence are
+documented in docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.cli import main
 GOLDEN = {
     "summary.json": "fac47a6428391da5f4159ae1c294fbe1a1ace968d6e1c0a8b1b2a91c4e193871",
     "spans.jsonl": "8476fabaa8de43e96cc6e2941322f18e19d08a496b6d077c81c8285141785806",
+    "metrics.jsonl": "d37bd550c542c4466c4e1b38d18b70b281ca6f257f1ca604c13308bc83ce1775",
 }
 
 ARGS = [

@@ -1,5 +1,8 @@
 """The Observer façade: instrument contract, events, sink discovery."""
 
+import pytest
+
+from repro.errors import ObservabilityError
 from repro.obs import MemorySink, NULL_OBSERVER, NullSink, Observer
 
 
@@ -52,14 +55,24 @@ class TestInstrumentContract:
             "thrifty_routing_decisions_total",
         }
 
-    def test_group_instruments_bind_the_group_label(self):
-        observer = Observer(MemorySink())
-        instruments = observer.bind_group("g1")
-        instruments.submitted.inc(1.0)
-        instruments.routing("free").inc(1.0)
-        assert instruments.routing("free") is instruments.routing("free")
-        assert observer.queries_submitted.value(group="g1") == 1.0
-        assert observer.routing_decisions.value(group="g1", outcome="free") == 1.0
+    def test_collectors_publish_before_each_scrape(self):
+        sink = MemorySink()
+        observer = Observer(sink)
+        books = {"completed": 0}
+        handle = observer.queries_completed.labels(group="g1")
+        observer.metrics.add_collector(lambda: handle.set_total(0.0, books["completed"]))
+        observer.metrics.flush(600.0)
+        assert sink.metrics == []  # an unchanged total emits nothing
+        books["completed"] = 3
+        assert 'thrifty_queries_completed_total{group="g1"} 3' in (
+            observer.metrics.to_prometheus_text()
+        )
+        observer.metrics.flush(1200.0)
+        (sample,) = sink.metrics
+        assert (sample.time, sample.value) == (1200.0, 3.0)
+        books["completed"] = 2
+        with pytest.raises(ObservabilityError):
+            observer.metrics.flush(1800.0)
 
     def test_tracer_shares_the_sink(self):
         sink = MemorySink()

@@ -5,6 +5,8 @@ snapshots, taken at monitor ticks and at the replay horizon.  After
 ``ThriftyService.replay`` the sink must therefore hold, for every counter
 and histogram child, a last sample equal to the live value, at most one
 sample per instant, and only samples stamped with a tick or the horizon.
+The group counters and latency histograms are the runtime's books, read
+by its collector at each scrape, so they must equal the replay's report.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from repro.obs import Counter, Histogram, MemorySink, Observer
 from repro.units import DAY, HOUR
 from repro.workload.composer import MultiTenantLogComposer
 from repro.workload.generator import SessionLogGenerator
-from tests.conftest import tiny_config
+from tests.conftest import assert_counters_match_books, tiny_config
 
 
 def _replay(horizon: float):
@@ -29,13 +31,14 @@ def _replay(horizon: float):
     service.arm_chaos(2 * DAY, horizon=horizon)
     report = service.replay(until=horizon)
     ticks = {t for r in report.group_reports.values() for t, _ in r.rt_ttp_samples}
-    return observer, ticks
+    return observer, ticks, report
 
 
 # A horizon on a monitor tick, and one between two ticks.
 @pytest.fixture(scope="module", params=[DAY, 20 * HOUR + 250.0], ids=["on-tick", "off-tick"])
 def replayed(request):
-    return (*_replay(request.param), request.param)
+    observer, ticks, report = _replay(request.param)
+    return observer, ticks, request.param, report
 
 
 def _aggregated(observer):
@@ -51,13 +54,13 @@ def _samples_by_child(observer):
 
 
 def test_the_replay_reaches_the_fault_plane(replayed):
-    observer, _, __ = replayed
+    observer, *_ = replayed
     assert sum(observer.node_failures.snapshot().values()) > 0
     assert observer.instance_degraded_seconds.snapshot()
 
 
 def test_last_sample_equals_the_live_value(replayed):
-    observer, _, __ = replayed
+    observer, *_ = replayed
     by_child = _samples_by_child(observer)
     children = set()
     for family in _aggregated(observer):
@@ -75,7 +78,7 @@ def test_last_sample_equals_the_live_value(replayed):
 
 
 def test_no_child_has_two_samples_at_one_instant(replayed):
-    observer, _, __ = replayed
+    observer, *_ = replayed
     for samples in _samples_by_child(observer).values():
         times = [s.time for s in samples]
         assert len(times) == len(set(times))
@@ -83,8 +86,14 @@ def test_no_child_has_two_samples_at_one_instant(replayed):
 
 
 def test_samples_are_stamped_at_ticks_or_the_horizon(replayed):
-    observer, ticks, horizon = replayed
+    observer, ticks, horizon, __ = replayed
     stamps = {s.time for samples in _samples_by_child(observer).values() for s in samples}
     assert horizon in stamps
     assert len(stamps) > 1  # the monitor ticks snapshot too, not only the horizon
     assert stamps <= ticks | {horizon}
+
+
+
+def test_group_counters_equal_the_books(replayed):
+    observer, *_, report = replayed
+    assert_counters_match_books(observer, report)

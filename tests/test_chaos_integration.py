@@ -18,7 +18,11 @@ from repro.rng import RngFactory
 from repro.units import DAY, HOUR
 from repro.workload.composer import MultiTenantLogComposer
 from repro.workload.generator import SessionLogGenerator
-from tests.conftest import assert_spans_emitted_once, tiny_config
+from tests.conftest import (
+    assert_counters_match_books,
+    assert_spans_emitted_once,
+    tiny_config,
+)
 
 
 def _build_service(config, **service_kwargs):
@@ -65,11 +69,11 @@ def _books_balance(service, report):
         ), f"group {name} books do not balance"
 
 
-def _failover_replay(until):
+def _failover_replay(until, observer=None):
     """Replicated deployment with a node failure injected mid-query."""
     config = tiny_config(num_tenants=24, seed=13)
     assert config.replication_factor >= 2
-    __, service = _build_service(config)
+    __, service = _build_service(config, observer=observer)
     injector = FailureInjector(
         service.pool, service.simulator, 1e12, RngFactory(5).stream("chaos", "kill")
     )
@@ -112,6 +116,13 @@ class TestFailover:
         # Nothing exhausted its retries: replication hid the failure.
         assert all(not r.fault_records for r in report.group_reports.values())
 
+    def test_fault_counters_equal_the_books(self, failover_run):
+        observer = Observer(MemorySink())
+        __, report, __ = _failover_replay(1 * DAY, observer=observer)
+        assert report.summary() == failover_run[1].summary()
+        assert sum(observer.failovers.snapshot().values()) >= 1
+        assert_counters_match_books(observer, report)
+
     def test_sla_survives_the_failure(self, failover_run):
         __, report, __ = failover_run
         assert report.sla.fraction_met > 0.9
@@ -146,7 +157,7 @@ def degraded_run():
     """Single-replica deployment: failure parks queries until a deadline."""
     config = tiny_config(num_tenants=24, seed=13, replication_factor=1)
     __, service = _build_service(
-        config, fault=RetryPolicy(queue_deadline_s=600.0)
+        config, fault=RetryPolicy(queue_deadline_s=600.0), observer=Observer(MemorySink())
     )
     injector = FailureInjector(
         service.pool, service.simulator, 1e12, RngFactory(5).stream("chaos", "kill")
@@ -171,6 +182,11 @@ class TestGracefulDegradation:
         # first, so parked queries surface as typed deadline failures.
         assert records
         assert all(r.reason == REASON_DEADLINE_EXCEEDED for r in records)
+
+    def test_failed_counter_equals_the_books(self, degraded_run):
+        service, report, __ = degraded_run
+        assert sum(service.observer.queries_failed.snapshot().values()) >= 1
+        assert_counters_match_books(service.observer, report)
 
     def test_books_balance_under_degradation(self, degraded_run):
         service, report, __ = degraded_run

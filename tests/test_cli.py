@@ -1,8 +1,13 @@
 """CLI tests."""
 
+import argparse
+
 import pytest
 
+from repro.analysis.sweeps import SWEEP_PARAMETERS
 from repro.cli import build_parser, main
+from repro.core.advisor import GROUPING_ALGORITHMS
+from repro.core.service import SCALING_POLICIES
 
 
 class TestParser:
@@ -25,6 +30,19 @@ class TestParser:
         assert args.scaling == "disabled"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["replay", "--scaling", "magic"])
+
+    def test_choices_are_the_registry_keys(self):
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        for command, option, table in (
+            ("plan", "grouping", GROUPING_ALGORITHMS),
+            ("replay", "grouping", GROUPING_ALGORITHMS),
+            ("replay", "scaling", SCALING_POLICIES),
+            ("sweep", "parameter", SWEEP_PARAMETERS),
+        ):
+            (action,) = [a for a in commands[command]._actions if a.dest == option]
+            assert action.choices == sorted(table), (command, option)
 
     def test_replay_obs_out(self):
         args = build_parser().parse_args(["replay", "--obs-out", "out/"])

@@ -4,6 +4,7 @@
 exactly ``[r for r in workload.tenant_log(t).records if r.submit_time_s <
 until]``: the same records in the same order, ties included.  The tenant
 log's stable sort on ``(submit_time_s, user, template)`` is the oracle.
+Its ``total_busy_seconds()`` must equal the tenant log's exactly.
 """
 
 from __future__ import annotations
@@ -33,8 +34,11 @@ def _horizons(records, workload):
 
 def _assert_matches(workload, tenant_ids):
     for tenant_id in tenant_ids:
-        records = workload.tenant_log(tenant_id).records
+        log = workload.tenant_log(tenant_id)
+        records = log.records
         source = workload.lazy_log(tenant_id)
+        assert source.tenant_id == tenant_id
+        assert source.total_busy_seconds() == log.total_busy_seconds(), tenant_id
         for until in _horizons(records, workload):
             want = [r for r in records if r.submit_time_s < until]
             count, got = _drain(source, until)
