@@ -31,12 +31,15 @@ __all__ = [
     "RandomFreeRouter",
     "RoundRobinRouter",
     "AlwaysTuningRouter",
-    "classify_decision",
     "ROUTING_OUTCOMES",
 ]
 
-#: Every outcome :func:`classify_decision` can name.
+#: Every outcome :meth:`QueryRouter.route` names; ``overflow`` is a pick of
+#: a busy instance the tenant has no query running on.
 ROUTING_OUTCOMES = ("pinned", "tenant-affinity", "tuning-free", "free", "overflow")
+
+#: A routing decision: the chosen instance and its outcome.
+Route = tuple[MPPDBInstance, str]
 
 
 class QueryRouter(abc.ABC):
@@ -87,8 +90,11 @@ class QueryRouter(abc.ABC):
         """Current pin map (copy)."""
         return dict(self._pinned)
 
-    def route(self, tenant_id: int) -> MPPDBInstance:
+    def route(self, tenant_id: int) -> Route:
         """Choose the instance a new query of ``tenant_id`` should run on.
+
+        Returns the instance and the Algorithm 1 outcome of the choice (one
+        of :data:`ROUTING_OUTCOMES`) as the pre-submit state shows it.
 
         Unhealthy (degraded/down) and still-provisioning instances are
         skipped, so a tenant replicated with ``A >= 2`` transparently fails
@@ -100,7 +106,7 @@ class QueryRouter(abc.ABC):
         """
         pinned = self._pinned.get(tenant_id)
         if pinned is not None and pinned.is_ready:
-            return pinned
+            return pinned, "pinned"
         candidates = [i for i in self._instances if i.is_ready and i.hosts(tenant_id)]
         if not candidates:
             unavailable = [
@@ -119,30 +125,36 @@ class QueryRouter(abc.ABC):
         return self._choose(tenant_id, candidates)
 
     @abc.abstractmethod
-    def _choose(self, tenant_id: int, candidates: list[MPPDBInstance]) -> MPPDBInstance:
-        """Policy-specific choice among ready, hosting instances."""
+    def _choose(self, tenant_id: int, candidates: list[MPPDBInstance]) -> Route:
+        """Policy-specific choice among ready, hosting instances, with its outcome."""
+
+    def _named(self, tenant_id: int, instance: MPPDBInstance) -> Route:
+        """An ablation router's pick with the Algorithm 1 outcome it amounts to."""
+        if tenant_id in instance.active_tenants:
+            return instance, "tenant-affinity"
+        if instance.is_free:
+            return instance, "tuning-free" if instance is self.tuning_instance else "free"
+        return instance, "overflow"
 
 
 class TDDRouter(QueryRouter):
     """Algorithm 1: route the *tenant*, prefer MPPDB_0, overflow to MPPDB_0."""
 
-    def _choose(self, tenant_id: int, candidates: list[MPPDBInstance]) -> MPPDBInstance:
+    def _choose(self, tenant_id: int, candidates: list[MPPDBInstance]) -> Route:
         # Line 1-2: the tenant already has queries running somewhere.
         for instance in candidates:
             if tenant_id in instance.active_tenants:
-                return instance
-        # Line 4-5: MPPDB_0 if free.
-        tuning = candidates[0] if candidates[0] is self.tuning_instance else None
-        if tuning is not None and tuning.is_free:
-            return tuning
+                return instance, "tenant-affinity"
+        # Line 4-5: MPPDB_0 if free (it is first whenever it is a candidate).
+        first = candidates[0]
+        if first is self.tuning_instance and first.is_free:
+            return first, "tuning-free"
         # Line 7-8: any free MPPDB.
         for instance in candidates:
             if instance.is_free:
-                return instance
-        # Line 10: all busy -> MPPDB_0 for concurrent processing.
-        if tuning is not None:
-            return tuning
-        return candidates[0]
+                return instance, "free"
+        # Line 10: all busy -> MPPDB_0 (else the first surviving replica).
+        return first, "overflow"
 
 
 class RandomFreeRouter(QueryRouter):
@@ -154,11 +166,11 @@ class RandomFreeRouter(QueryRouter):
         # deterministic and independent of other components' draw counts.
         self._rng = RngFactory(seed).stream("routing", "random-free")
 
-    def _choose(self, tenant_id: int, candidates: list[MPPDBInstance]) -> MPPDBInstance:
+    def _choose(self, tenant_id: int, candidates: list[MPPDBInstance]) -> Route:
         free = [i for i in candidates if i.is_free]
         if free:
-            return free[int(self._rng.integers(0, len(free)))]
-        return candidates[int(self._rng.integers(0, len(candidates)))]
+            return self._named(tenant_id, free[int(self._rng.integers(0, len(free)))])
+        return self._named(tenant_id, candidates[int(self._rng.integers(0, len(candidates)))])
 
 
 class RoundRobinRouter(QueryRouter):
@@ -168,36 +180,17 @@ class RoundRobinRouter(QueryRouter):
         super().__init__(instances)
         self._next = 0
 
-    def _choose(self, tenant_id: int, candidates: list[MPPDBInstance]) -> MPPDBInstance:
+    def _choose(self, tenant_id: int, candidates: list[MPPDBInstance]) -> Route:
         chosen = candidates[self._next % len(candidates)]
         self._next += 1
-        return chosen
+        return self._named(tenant_id, chosen)
 
 
 class AlwaysTuningRouter(QueryRouter):
     """Ablation: everything goes to MPPDB_0 (no replication benefit)."""
 
-    def _choose(self, tenant_id: int, candidates: list[MPPDBInstance]) -> MPPDBInstance:
-        return candidates[0]
-
-
-def classify_decision(
-    router: QueryRouter, tenant_id: int, instance: MPPDBInstance
-) -> str:
-    """Name the Algorithm 1 branch that produced a routing decision.
-
-    Must be called *before* the query is submitted (the checks read the
-    pre-submit busy/active state the router itself saw); one of
-    :data:`ROUTING_OUTCOMES`, ``overflow`` being the all-busy fall-through
-    onto ``MPPDB_0``.
-    """
-    if router.pinned_tenants.get(tenant_id) is instance:
-        return "pinned"
-    if tenant_id in instance.active_tenants:
-        return "tenant-affinity"
-    if instance.is_free:
-        return "tuning-free" if instance is router.tuning_instance else "free"
-    return "overflow"
+    def _choose(self, tenant_id: int, candidates: list[MPPDBInstance]) -> Route:
+        return self._named(tenant_id, candidates[0])
 
 
 ROUTER_POLICIES = {

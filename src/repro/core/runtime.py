@@ -35,6 +35,7 @@ from ..errors import DeploymentError, NoHealthyInstanceError
 from ..mppdb.execution import QueryExecution
 from ..mppdb.instance import MPPDBInstance
 from ..mppdb.provisioning import Provisioner
+from ..obs.metrics import BoundCounter, BoundHistogram
 from ..obs.observer import NULL_OBSERVER, Observer
 from ..obs.tracing import STATUS_INFLIGHT, Span
 from ..simulation.engine import Simulator
@@ -51,7 +52,7 @@ from .fault import (
 )
 from .master import DeployedGroup
 from .monitor import GroupActivityMonitor
-from .routing import ROUTING_OUTCOMES, QueryRouter, TDDRouter, classify_decision
+from .routing import ROUTING_OUTCOMES, QueryRouter, TDDRouter
 from .scaling import DisabledScaling, ScalingAction, ScalingPolicy
 from .sla import SLARecord, SLAReport
 
@@ -211,8 +212,10 @@ class GroupRuntime:
             health.on_recover(self._on_instance_recovered)
         for spec in deployed.deployment.tenants:
             self._monitor.register_tenant(spec.tenant_id, spec.nodes_requested)
-        # Instances this runtime has sent a query to (see _wire_instance).
+        # Instances this runtime has sent a query to (see _wire_instance),
+        # and, when observing, their engine metric handles.
         self._wired: set[MPPDBInstance] = set()
+        self._engine_metrics: dict[MPPDBInstance, tuple[BoundCounter, BoundHistogram]] = {}
         self._scheduled = False
         self._observer = observer if observer is not None else NULL_OBSERVER
         if self._observer.enabled:
@@ -236,8 +239,8 @@ class GroupRuntime:
     def _observe(self, o: Observer) -> None:
         """Bind the group's metric handles once and register its collector.
 
-        Only the RT-TTP gauge and the routing-outcome counter are pushed as
-        events happen; :meth:`_collect` publishes the rest at every scrape.
+        The RT-TTP gauge, routing-outcome counter and engine metrics are pushed
+        as events happen; :meth:`_collect` publishes the rest at every scrape.
         """
         group = self._deployed.group_name
         self._books = tuple(family.labels(group=group) for family in (
@@ -301,7 +304,10 @@ class GroupRuntime:
         instance.engine.on_complete(_done)
         instance.engine.on_abort(_aborted)
         if self._observer.enabled:
-            instance.engine.observe_with(self._observer, instance.name)
+            o, name = self._observer, instance.name
+            self._engine_metrics[instance] = (
+                o.engine_queries.labels(instance=name), o.engine_concurrency.labels(instance=name)
+            )
         self._wired.add(instance)
 
     def _submit(self, tenant_id: int, record: QueryRecord, time: float) -> None:
@@ -328,9 +334,8 @@ class GroupRuntime:
     def _dispatch(self, state: _QueryState, time: float) -> None:
         """Route one attempt of a live query and start it on an engine."""
         tenant_id, record = state.tenant, state.record
-        observer = self._observer
         try:
-            instance = self._router.route(tenant_id)
+            instance, outcome = self._router.route(tenant_id)
         except NoHealthyInstanceError:
             # Graceful degradation: every hosting replica is degraded, down
             # or loading — queue the query until an instance recovers.
@@ -350,17 +355,16 @@ class GroupRuntime:
                 span.add_event(
                     time, "failover", failed=failed_from, survivor=instance.name
                 )
-        if observer.enabled:
-            # Classify and trace against the pre-submit state the router saw.
-            outcome = classify_decision(self._router, tenant_id, instance)
+        if span is not None:
             self._routed[outcome].inc(time)
-            if span is not None:
-                span.add_event(
-                    time, "route", instance=instance.name, outcome=outcome, attempt=state.attempts
-                )
-        if instance is self._router.tuning_instance and instance.engine.busy and (
-            tenant_id not in instance.active_tenants
-        ):
+            span.add_event(
+                time, "route", instance=instance.name, outcome=outcome, attempt=state.attempts
+            )
+            queries, concurrency = self._engine_metrics[instance]
+            queries.inc(time)
+            # Concurrency as seen on admission, counting this query.
+            concurrency.observe(time, float(instance.engine.concurrency + 1))
+        if outcome == "overflow" and instance is self._router.tuning_instance:
             self._overflow += 1
         spec = self._deployed.deployment.tenant(tenant_id)
         template = template_by_name(record.template)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from ..packing.livbp import LIVBPwFCProblem
 from ..packing.two_step import pack_initial_group
 from ..units import DAY, num_epochs
 from ..workload.activity import ActivityItem, concurrency_profile
+from ..workload.tenant import TenantSpec
 from .master import DeployedGroup
 from .monitor import GroupActivityMonitor
 from .routing import QueryRouter
@@ -73,8 +74,19 @@ class ScalingAction:
     loaded_gb: float
 
 
+#: A scale-up a policy chose: the tenants the new MPPDB loads, its
+#: parallelism and the tenants routed to it once it is ready.
+ScaleUp = tuple[Sequence[TenantSpec], int, tuple[int, ...]]
+
+
 class ScalingPolicy(abc.ABC):
-    """Decides whether and how to scale a group when its RT-TTP drops."""
+    """Decides whether and how to scale a group when its RT-TTP drops.
+
+    Subclasses choose the scale-up (:meth:`_choose_scale_up`); :meth:`_scale` provisions it.
+    """
+
+    #: The :attr:`ScalingAction.kind` of this policy's actions (a policy that acts sets it).
+    kind: ClassVar[str]
 
     def __init__(self, window_s: float = DAY, identification_epoch_s: float = 10.0) -> None:
         if window_s <= 0:
@@ -131,10 +143,6 @@ class ScalingPolicy(abc.ABC):
         """The trigger: reactive policies fire once RT-TTP is below ``P``."""
         return rt_ttp < sla_fraction
 
-    def _mark_done(self, group_name: str) -> None:
-        self._in_flight.discard(group_name)
-
-    @abc.abstractmethod
     def _scale(
         self,
         now: float,
@@ -144,21 +152,52 @@ class ScalingPolicy(abc.ABC):
         provisioner: Provisioner,
         sla_fraction: float,
     ) -> Optional[ScalingAction]:
+        """Provision the chosen scale-up (``None`` when the policy declines).
+
+        Once loaded, the new MPPDB joins the router and takes the pinned tenants.
+        """
+        chosen = self._choose_scale_up(now, group, monitor, sla_fraction)
+        if chosen is None:
+            return None
+        specs, parallelism, pinned = chosen
+        tenant_data = [spec.as_tenant_data() for spec in specs]
+
+        def _ready(instance: MPPDBInstance, time: float) -> None:
+            router.add_instance(instance)
+            for tenant_id in pinned:
+                router.pin_tenant(tenant_id, instance)
+                monitor.exclude_tenant(tenant_id, time)
+            self._in_flight.discard(group.group_name)
+
+        instance = provisioner.provision(
+            parallelism=parallelism,
+            tenants=tenant_data,
+            name=f"{group.group_name}/scale{len(self.actions)}",
+            on_ready=_ready,
+        )
+        return ScalingAction(
+            time=now,
+            group_name=group.group_name,
+            kind=self.kind,
+            over_active=pinned,
+            instance_name=instance.name,
+            expected_ready_time=now + provisioner.provision_time_s(parallelism, tenant_data),
+            loaded_gb=sum(spec.data_gb for spec in specs),
+        )
+
+    @abc.abstractmethod
+    def _choose_scale_up(
+        self, now: float, group: DeployedGroup, monitor: GroupActivityMonitor, sla_fraction: float
+    ) -> Optional[ScaleUp]:
         """Policy-specific scale-up; returns ``None`` to decline."""
 
 
 class DisabledScaling(ScalingPolicy):
     """Never scales (Figure 7.7a/b)."""
 
-    def _scale(
-        self,
-        now: float,
-        group: DeployedGroup,
-        monitor: GroupActivityMonitor,
-        router: QueryRouter,
-        provisioner: Provisioner,
-        sla_fraction: float,
-    ) -> Optional[ScalingAction]:
+    def _choose_scale_up(
+        self, now: float, group: DeployedGroup, monitor: GroupActivityMonitor, sla_fraction: float
+    ) -> Optional[ScaleUp]:
         return None
 
 
@@ -177,6 +216,8 @@ class LightweightScaling(ScalingPolicy):
         their history (ratio <= :data:`OVER_ACTIVITY_RATIO`).  Without it,
         eviction falls back to most-recent-activity-first.
     """
+
+    kind = "lightweight"
 
     def __init__(
         self,
@@ -279,87 +320,25 @@ class LightweightScaling(ScalingPolicy):
         keepers = set(groups[0]) if groups else set()
         return [item.tenant_id for item in items if item.tenant_id not in keepers]
 
-    def _scale(
-        self,
-        now: float,
-        group: DeployedGroup,
-        monitor: GroupActivityMonitor,
-        router: QueryRouter,
-        provisioner: Provisioner,
-        sla_fraction: float,
-    ) -> Optional[ScalingAction]:
+    def _choose_scale_up(
+        self, now: float, group: DeployedGroup, monitor: GroupActivityMonitor, sla_fraction: float
+    ) -> Optional[ScaleUp]:
         over_active = self.identify_over_active(now, group, monitor, sla_fraction)
         if not over_active:
             return None
         specs = [group.deployment.tenant(t) for t in over_active]
-        parallelism = max(spec.nodes_requested for spec in specs)
-        tenant_data = [spec.as_tenant_data() for spec in specs]
-        name = f"{group.group_name}/scale{len(self.actions)}"
-
-        def _ready(instance: MPPDBInstance, time: float) -> None:
-            router.add_instance(instance)
-            for spec in specs:
-                router.pin_tenant(spec.tenant_id, instance)
-                monitor.exclude_tenant(spec.tenant_id, time)
-            self._mark_done(group.group_name)
-
-        instance = provisioner.provision(
-            parallelism=parallelism,
-            tenants=tenant_data,
-            name=name,
-            on_ready=_ready,
-        )
-        loaded_gb = sum(spec.data_gb for spec in specs)
-        ready = now + provisioner.load_model.provision_seconds(parallelism, loaded_gb)
-        return ScalingAction(
-            time=now,
-            group_name=group.group_name,
-            kind="lightweight",
-            over_active=tuple(over_active),
-            instance_name=instance.name,
-            expected_ready_time=ready,
-            loaded_gb=loaded_gb,
-        )
+        return specs, max(spec.nodes_requested for spec in specs), tuple(over_active)
 
 
 class WholeGroupScaling(ScalingPolicy):
     """Pessimistic ablation: add an ``A + 1``-th MPPDB for the whole group."""
 
-    def _scale(
-        self,
-        now: float,
-        group: DeployedGroup,
-        monitor: GroupActivityMonitor,
-        router: QueryRouter,
-        provisioner: Provisioner,
-        sla_fraction: float,
-    ) -> Optional[ScalingAction]:
-        specs = list(group.deployment.tenants)
-        parallelism = group.deployment.design.parallelism
-        tenant_data = [spec.as_tenant_data() for spec in specs]
-        name = f"{group.group_name}/scale{len(self.actions)}"
+    kind = "whole-group"
 
-        def _ready(instance: MPPDBInstance, time: float) -> None:
-            router.add_instance(instance)
-            self._mark_done(group.group_name)
-
-        instance = provisioner.provision(
-            parallelism=parallelism,
-            tenants=tenant_data,
-            name=name,
-            on_ready=_ready,
-        )
-        loaded_gb = sum(spec.data_gb for spec in specs)
-        ready = now + provisioner.load_model.provision_seconds(parallelism, loaded_gb)
-        return ScalingAction(
-            time=now,
-            group_name=group.group_name,
-            kind="whole-group",
-            over_active=(),
-            instance_name=instance.name,
-            expected_ready_time=ready,
-            loaded_gb=loaded_gb,
-        )
+    def _choose_scale_up(
+        self, now: float, group: DeployedGroup, monitor: GroupActivityMonitor, sla_fraction: float
+    ) -> Optional[ScaleUp]:
+        return group.deployment.tenants, group.deployment.design.parallelism, ()
 
 
 class ProactiveScaling(LightweightScaling):

@@ -16,15 +16,11 @@ is rescheduled.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from ..errors import MPPDBError
 from ..simulation.engine import Simulator
 from ..simulation.events import ScheduledEvent
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.metrics import BoundCounter, BoundHistogram
-    from ..obs.observer import Observer
 
 __all__ = ["QueryExecution", "ExecutionEngine"]
 
@@ -103,17 +99,6 @@ class ExecutionEngine:
         self._on_complete: list[CompletionCallback] = []
         self._on_abort: list[CompletionCallback] = []
         self._completed: list[QueryExecution] = []
-        self._observer: Optional["Observer"] = None
-
-    # Bound by observe_with; read only while an observer is attached.
-    _queries_metric: "BoundCounter"
-    _concurrency_metric: "BoundHistogram"
-
-    def observe_with(self, observer: "Observer", instance_name: str) -> None:
-        """Attach an observer; engine metrics are labeled ``instance_name``."""
-        self._observer = observer
-        self._queries_metric = observer.engine_queries.labels(instance=instance_name)
-        self._concurrency_metric = observer.engine_concurrency.labels(instance=instance_name)
 
     @property
     def concurrency(self) -> int:
@@ -185,12 +170,6 @@ class ExecutionEngine:
         if work_s < 0:
             raise MPPDBError(f"work must be non-negative, got {work_s!r}")
         self._settle()
-        observer = self._observer
-        if observer is not None and observer.enabled:
-            now = self._sim.now
-            self._queries_metric.inc(now)
-            # Concurrency as seen on admission, counting this query.
-            self._concurrency_metric.observe(now, float(len(self._running) + 1))
         execution = QueryExecution(
             query_id=next(self._ids),
             tenant_id=tenant_id,

@@ -117,8 +117,7 @@ class Provisioner:
             if on_ready is not None:
                 on_ready(instance, self._sim.now)
         else:
-            total_gb = sum(t.data_gb for t in tenant_list)
-            delay = self._load_model.provision_seconds(parallelism, total_gb)
+            delay = self.provision_time_s(parallelism, tenant_list)
             self._sim.schedule_after(delay, _started, label=f"provision:{name}")
         return instance
 

@@ -1,8 +1,9 @@
 """The :class:`Observer` façade: one handle for sink + metrics + tracer.
 
-The instrumented layers (:mod:`repro.core.runtime`, the Tenant Activity
-Monitor, the execution engine, the health manager) each hold one observer
-and guard every instrumentation site with ``observer.enabled`` — a single
+The instrumented layers (:mod:`repro.core.runtime`, which also records
+the execution engines' metrics, the Tenant Activity Monitor and the
+health manager) each hold one observer and guard every instrumentation
+site with ``observer.enabled`` (or a query span's presence) — a single
 attribute load and branch when observability is off.
 
 The observer pre-declares the standard Thrifty instrument set (metric

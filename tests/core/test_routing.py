@@ -34,19 +34,19 @@ class TestFigure42Walkthrough:
         router = TDDRouter([m0, m1, m2])
 
         # T4 submits Q1: all free -> MPPDB0 (line 5).
-        assert router.route(4) is m0
+        assert router.route(4) == (m0, "tuning-free")
         q1 = m0.submit_query(4, 100.0)
         # T2 submits Q2: MPPDB0 busy -> free MPPDB1 (line 8).
-        assert router.route(2) is m1
+        assert router.route(2) == (m1, "free")
         q2 = m1.submit_query(2, 100.0)
         # T4 submits Q3 while Q1 runs -> follow the tenant to MPPDB0 (line 2).
-        assert router.route(4) is m0
+        assert router.route(4) == (m0, "tenant-affinity")
         m0.submit_query(4, 50.0)
         # T2 submits Q4 while Q2 runs -> MPPDB1 (line 2).
-        assert router.route(2) is m1
+        assert router.route(2) == (m1, "tenant-affinity")
         m1.submit_query(2, 50.0)
         # T9 submits Q5 -> MPPDB2 is the only free one (line 8).
-        assert router.route(9) is m2
+        assert router.route(9) == (m2, "free")
         m2.submit_query(9, 100.0)
 
         # Let T4's queries finish (Q1+Q3 PS: total work 150 shared).
@@ -54,14 +54,14 @@ class TestFigure42Walkthrough:
         assert m0.is_free
 
         # T1 submits Q6: T4 inactive now, MPPDB0 free again (line 5).
-        assert router.route(1) is m0
+        assert router.route(1) == (m0, "tuning-free")
         m0.submit_query(1, 100.0)
 
         # T4 submits Q7 after its queries finished: not tied to MPPDB0
         # anymore; MPPDB0 busy (T1); is MPPDB1 or MPPDB2 free?
         # Q2+Q4 on m1: total 150s from t=0 -> done by 500; Q5 on m2 done.
         assert m1.is_free and m2.is_free
-        assert router.route(4) is m1
+        assert router.route(4) == (m1, "free")
 
     def test_overflow_to_tuning_instance(self):
         # Line 10: all instances busy -> MPPDB0 for concurrent processing.
@@ -71,7 +71,7 @@ class TestFigure42Walkthrough:
         m0.submit_query(1, 100.0)
         m1.submit_query(2, 100.0)
         m2.submit_query(3, 100.0)
-        assert router.route(4) is m0
+        assert router.route(4) == (m0, "overflow")
 
     def test_tenant_affinity_beats_free_instances(self):
         # Line 2 dominates: a tenant with running queries stays put even
@@ -80,7 +80,7 @@ class TestFigure42Walkthrough:
         m0, m1, m2 = _instances(sim, 3)
         router = TDDRouter([m0, m1, m2])
         m1.submit_query(5, 100.0)
-        assert router.route(5) is m1
+        assert router.route(5) == (m1, "tenant-affinity")
 
 
 class TestRouterMechanics:
@@ -97,7 +97,7 @@ class TestRouterMechanics:
         m0.deploy_tenant(TenantData(tenant_id=1, data_gb=1.0))
         (m1,) = _instances(sim, 1, tenants=[1])
         router = TDDRouter([m0, m1])
-        assert router.route(1) is m1
+        assert router.route(1) == (m1, "free")
 
     def test_pin_tenant(self):
         sim = Simulator()
@@ -108,10 +108,10 @@ class TestRouterMechanics:
         router = TDDRouter([m0, m1, m2])
         router.add_instance(extra)
         router.pin_tenant(7, extra)
-        assert router.route(7) is extra
+        assert router.route(7) == (extra, "pinned")
         assert router.pinned_tenants == {7: extra}
         router.unpin_tenant(7)
-        assert router.route(7) is m0
+        assert router.route(7) == (m0, "tuning-free")
 
     def test_pin_requires_hosting(self):
         sim = Simulator()
@@ -139,7 +139,7 @@ class TestAblationRouters:
         router = RandomFreeRouter([m0, m1, m2], seed=1)
         m0.submit_query(1, 100.0)
         m1.submit_query(2, 100.0)
-        assert router.route(3) is m2
+        assert router.route(3) == (m2, "free")
 
     def test_random_free_ignores_affinity(self):
         # The ablation flaw: a busy tenant's next query may land elsewhere.
@@ -147,14 +147,14 @@ class TestAblationRouters:
         m0, m1, m2 = _instances(sim, 3)
         router = RandomFreeRouter([m0, m1, m2], seed=0)
         m0.submit_query(1, 1000.0)
-        targets = {router.route(1).name for __ in range(20)}
+        targets = {router.route(1)[0].name for __ in range(20)}
         assert "mppdb0" not in targets  # m0 is busy; router scatters
 
     def test_round_robin_cycles(self):
         sim = Simulator()
         instances = _instances(sim, 3)
         router = RoundRobinRouter(instances)
-        names = [router.route(1).name for __ in range(6)]
+        names = [router.route(1)[0].name for __ in range(6)]
         assert names == ["mppdb0", "mppdb1", "mppdb2"] * 2
 
     def test_always_tuning(self):
@@ -162,4 +162,4 @@ class TestAblationRouters:
         instances = _instances(sim, 3)
         router = AlwaysTuningRouter(instances)
         instances[0].submit_query(1, 100.0)
-        assert router.route(2) is instances[0]
+        assert router.route(2) == (instances[0], "overflow")

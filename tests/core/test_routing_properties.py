@@ -4,16 +4,21 @@ Random submission/completion interleavings must never break the two
 guarantees routing rests on: a tenant with running queries is always
 routed back to the same instance (tenant exclusivity), and as long as at
 most A tenants are concurrently active, no two tenants ever share an
-instance (Guarantee 1's mechanism).
+instance (Guarantee 1's mechanism).  Every router's named outcome must
+also equal the reference classification of its pick
+(:mod:`tests.core.routing_oracle`).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.routing import TDDRouter
+from repro.core.routing import ROUTER_POLICIES, ROUTING_OUTCOMES, TDDRouter
+from repro.errors import RoutingError
 from repro.mppdb.catalog import TenantData
 from repro.mppdb.instance import MPPDBInstance
 from repro.simulation.engine import Simulator
+from tests.core.routing_oracle import classify_decision
 
 _NUM_TENANTS = 6
 _NUM_INSTANCES = 3
@@ -49,7 +54,7 @@ def _play(script):
             active_before = {
                 i.name: set(i.active_tenants) for i in instances
             }
-            chosen = router.route(_tenant)
+            chosen, __ = router.route(_tenant)
             chosen.submit_query(_tenant, _work)
             observations.append((time, _tenant, chosen.name, active_before))
 
@@ -96,3 +101,55 @@ class TestRouterInvariants:
             anywhere = any(tenant in a for a in active_before.values())
             if not anywhere and not active_before["m0"]:
                 assert chosen == "m0"
+
+
+# A routing scenario: per instance (ready?, tenants hosted, tenants already
+# running a query), pins as (tenant, instance index), and a script of
+# (tenant, work, gap-before-submission) routed one query at a time.
+_INSTANCE = st.tuples(
+    st.booleans(),
+    st.sets(st.integers(min_value=1, max_value=_NUM_TENANTS), min_size=1),
+    st.sets(st.integers(min_value=1, max_value=_NUM_TENANTS), max_size=3),
+)
+_SCENARIOS = st.tuples(
+    st.lists(_INSTANCE, min_size=1, max_size=4),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=_NUM_TENANTS), st.integers(0, 3)),
+        max_size=3,
+    ),
+    _SCRIPTS,
+)
+
+
+class TestNamedOutcomes:
+    @pytest.mark.parametrize("policy", sorted(ROUTER_POLICIES))
+    @given(scenario=_SCENARIOS)
+    @settings(max_examples=60, deadline=None)
+    def test_route_names_the_oracles_outcome(self, policy, scenario):
+        shapes, pins, script = scenario
+        sim = Simulator()
+        instances = []
+        for index, (ready, hosted, running) in enumerate(shapes):
+            instance = MPPDBInstance(f"m{index}", 4, sim)
+            for tid in sorted(hosted | running):
+                instance.deploy_tenant(TenantData(tenant_id=tid, data_gb=10.0))
+            if ready:
+                instance.mark_ready()
+                for tid in sorted(running):
+                    instance.submit_query(tid, 25.0)
+            instances.append(instance)
+        router = ROUTER_POLICIES[policy](instances)
+        for tenant, index in pins:
+            if index < len(instances) and instances[index].hosts(tenant):
+                router.pin_tenant(tenant, instances[index])
+        t = 0.0
+        for tenant, work, gap in script:
+            t += gap
+            sim.run(until=t)
+            try:
+                chosen, outcome = router.route(tenant)
+            except RoutingError:  # no ready instance hosts the tenant
+                continue
+            assert outcome in ROUTING_OUTCOMES
+            assert outcome == classify_decision(router, tenant, chosen)
+            chosen.submit_query(tenant, work)

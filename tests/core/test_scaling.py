@@ -121,7 +121,7 @@ class TestLightweightMechanics:
         assert 1 in router.pinned_tenants
         pinned = router.pinned_tenants[1]
         assert pinned.name == action.instance_name
-        assert router.route(1) is pinned
+        assert router.route(1) == (pinned, "pinned")
         # The monitor excludes the tenant once it moves.
         assert monitor.excluded_tenants == {1}
 

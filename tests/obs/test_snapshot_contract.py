@@ -31,14 +31,15 @@ def _replay(horizon: float):
     service.arm_chaos(2 * DAY, horizon=horizon)
     report = service.replay(until=horizon)
     ticks = {t for r in report.group_reports.values() for t, _ in r.rt_ttp_samples}
-    return observer, ticks, report
+    tuning = {name: rt.router.tuning_instance.name for name, rt in service._runtimes.items()}
+    return observer, ticks, report, tuning
 
 
 # A horizon on a monitor tick, and one between two ticks.
 @pytest.fixture(scope="module", params=[DAY, 20 * HOUR + 250.0], ids=["on-tick", "off-tick"])
 def replayed(request):
-    observer, ticks, report = _replay(request.param)
-    return observer, ticks, request.param, report
+    observer, ticks, report, tuning = _replay(request.param)
+    return observer, ticks, request.param, report, tuning
 
 
 def _aggregated(observer):
@@ -86,7 +87,7 @@ def test_no_child_has_two_samples_at_one_instant(replayed):
 
 
 def test_samples_are_stamped_at_ticks_or_the_horizon(replayed):
-    observer, ticks, horizon, __ = replayed
+    observer, ticks, horizon, *__ = replayed
     stamps = {s.time for samples in _samples_by_child(observer).values() for s in samples}
     assert horizon in stamps
     assert len(stamps) > 1  # the monitor ticks snapshot too, not only the horizon
@@ -95,5 +96,24 @@ def test_samples_are_stamped_at_ticks_or_the_horizon(replayed):
 
 
 def test_group_counters_equal_the_books(replayed):
-    observer, *_, report = replayed
+    observer, *_, report, __ = replayed
     assert_counters_match_books(observer, report)
+
+
+def test_overflow_counts_agree_with_the_route_events(replayed):
+    # Two overflow facts: ``overflow_queries`` counts overflows onto the
+    # group's MPPDB_0 only; the routing counter's ``overflow`` child counts
+    # every all-busy pick, also those onto a surviving replica while
+    # MPPDB_0 is down.
+    observer, *_, report, tuning = replayed
+    for group, r in report.group_reports.items():
+        overflows = [
+            event.attrs["instance"]
+            for span in observer.memory_sink().spans_of("query")
+            if span.attrs["group"] == group
+            for event in span.events
+            if event.name == "route" and event.attrs["outcome"] == "overflow"
+        ]
+        assert r.overflow_queries == overflows.count(tuning[group]), group
+        routed = observer.routing_decisions.value(group=group, outcome="overflow")
+        assert routed == len(overflows), group

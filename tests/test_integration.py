@@ -98,7 +98,7 @@ class TestNodeFailureRecovery:
         # Routing still works.
         router = TDDRouter(deployed.instances)
         tenant_id = deployed.deployment.placement.tenant_ids[0]
-        assert router.route(tenant_id) in deployed.instances
+        assert router.route(tenant_id)[0] in deployed.instances
 
 
 class TestDeterminismEndToEnd:

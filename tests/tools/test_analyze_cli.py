@@ -6,6 +6,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from repro.tools.lint import AnalysisPass, AnalyzeConfig, all_rules, analyze_package, main
 from repro.tools.lint.runner import collect_files
 from repro.tools.lint.suppress import noqa_comments
@@ -110,6 +112,7 @@ class TestRepositoryIsClean:
     justified ``# thrifty: noqa[THRAxxx] <why>`` comments on their lines.
     """
 
+    @pytest.mark.usefixtures("shared_repo_program")
     def test_tree_is_clean_modulo_baseline(self):
         config = AnalyzeConfig(api_doc=REPO_ROOT / "docs" / "API.md")
         findings = analyze_package(REPO_ROOT / "src" / "repro", config)

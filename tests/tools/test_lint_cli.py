@@ -109,6 +109,7 @@ class TestRepositoryIsClean:
     """The standing gate: the linter runs clean over the shipped tree."""
 
     @pytest.mark.parametrize("target", ["src", "benchmarks", "examples"])
+    @pytest.mark.usefixtures("shared_repo_program")
     def test_tree_is_clean(self, target):
         violations, files_checked = check_paths([REPO_ROOT / target])
         assert files_checked > 0

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.tools.lint import AnalyzeConfig, check_paths, main
 from repro.tools.lint.registry import Violation
 from repro.tools.lint.runner import find_unused_noqa
@@ -165,6 +167,7 @@ class TestUnusedNoqa:
         assert main([str(pkg), "--entry", "service.", "--unused-noqa"]) == 1
         assert "solver.py:7:" in capsys.readouterr().out
 
+    @pytest.mark.usefixtures("shared_repo_program")
     def test_repo_has_no_unused_noqa(self):
         repo_root = Path(__file__).resolve().parents[2]
         stale, files_checked = find_unused_noqa([repo_root / "src"])
