@@ -7,7 +7,7 @@ Deployment Master executes it; nodes not listed are hibernated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from ..errors import DeploymentError
@@ -24,6 +24,7 @@ class GroupDeployment:
     design: ClusterDesign
     placement: TenantPlacement
     tenants: tuple[TenantSpec, ...]
+    _by_id: dict[int, TenantSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.design.group_name != self.placement.group_name:
@@ -34,6 +35,7 @@ class GroupDeployment:
         spec_ids = {t.tenant_id for t in self.tenants}
         if spec_ids != set(self.placement.tenant_ids):
             raise DeploymentError("tenant specs do not match the placement's tenant ids")
+        object.__setattr__(self, "_by_id", {t.tenant_id: t for t in self.tenants})
 
     @property
     def group_name(self) -> str:
@@ -52,9 +54,9 @@ class GroupDeployment:
 
     def tenant(self, tenant_id: int) -> TenantSpec:
         """Look up one tenant's spec."""
-        for spec in self.tenants:
-            if spec.tenant_id == tenant_id:
-                return spec
+        spec = self._by_id.get(tenant_id)
+        if spec is not None:
+            return spec
         raise DeploymentError(f"tenant {tenant_id!r} is not in group {self.group_name!r}")
 
 

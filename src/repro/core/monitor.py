@@ -48,25 +48,27 @@ class GroupActivityMonitor:
         self._nodes_of: dict[int, int] = {}
         self._excluded: set[int] = set()
         self._start_time = start_time
-        self._observer: Optional["Observer"] = None
+        # Bound by observe_with when its observer is enabled.
+        self._concurrent_active: Optional["BoundGauge"] = None
 
     @property
     def concurrency(self) -> StepSeries:
         """The concurrent-active-tenant signal."""
         return self._concurrency
 
-    # Bound by observe_with; read only while an observer is attached.
-    _concurrent_active: "BoundGauge"
-
     def observe_with(self, observer: "Observer") -> None:
-        """Mirror every concurrency change onto the observer's gauge."""
-        self._observer = observer
-        self._concurrent_active = observer.concurrent_active.labels(group=self.group_name)
+        """Mirror every concurrency change onto the observer's gauge.
+
+        The observer is asked once, here, whether it is enabled; a disabled
+        one binds nothing, and no concurrency change reads it again.
+        """
+        if observer.enabled:
+            self._concurrent_active = observer.concurrent_active.labels(group=self.group_name)
 
     def _sample_concurrency(self, time: float) -> None:
-        observer = self._observer
-        if observer is not None and observer.enabled:
-            self._concurrent_active.set(time, self._concurrency.value_at_end())
+        gauge = self._concurrent_active
+        if gauge is not None:
+            gauge.set(time, self._concurrency.value_at_end())
 
     def register_tenant(self, tenant_id: int, nodes_requested: int) -> None:
         """Declare a tenant of this group (needed for activity items)."""

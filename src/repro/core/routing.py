@@ -11,6 +11,11 @@ tuning of ``U`` is for, Chapter 6).
 Elastic scaling pins over-active tenants to a dedicated instance
 (:meth:`QueryRouter.pin_tenant`); pinned tenants bypass Algorithm 1.
 
+Routing does work in proportion to the tenant's own replicas: the router
+keeps, per tenant, the instances hosting it (built on the tenant's first
+route, dropped when an instance joins), and asks each engine in O(1)
+whether the tenant has a query running there.
+
 The ablation routers (random-free, round-robin, always-tuning) exist for
 ``bench_ablation_routing.py``: they violate the tenant-exclusivity
 invariant in different ways and show why Algorithm 1's order matters.
@@ -45,7 +50,10 @@ Route = tuple[MPPDBInstance, str]
 class QueryRouter(abc.ABC):
     """Routes a tenant's query to one of a tenant group's instances.
 
-    ``instances[0]`` is the tuning MPPDB ``MPPDB_0``.
+    ``instances[0]`` is the tuning MPPDB ``MPPDB_0``.  An instance's
+    catalog must not change once the router holds it: the instances that
+    host a tenant are looked up once, on the tenant's first route, and
+    again only after :meth:`add_instance`.
     """
 
     def __init__(self, instances: Sequence[MPPDBInstance]) -> None:
@@ -53,6 +61,8 @@ class QueryRouter(abc.ABC):
             raise RoutingError("a router needs at least one instance")
         self._instances: list[MPPDBInstance] = list(instances)
         self._pinned: dict[int, MPPDBInstance] = {}
+        # tenant -> the instances hosting it, in routing order.
+        self._hosting: dict[int, list[MPPDBInstance]] = {}
 
     @property
     def instances(self) -> list[MPPDBInstance]:
@@ -67,6 +77,7 @@ class QueryRouter(abc.ABC):
     def add_instance(self, instance: MPPDBInstance) -> None:
         """Register an additional instance (elastic scaling)."""
         self._instances.append(instance)
+        self._hosting.clear()
 
     def pin_tenant(self, tenant_id: int, instance: MPPDBInstance) -> None:
         """Route all of a tenant's future queries to ``instance``.
@@ -107,13 +118,13 @@ class QueryRouter(abc.ABC):
         pinned = self._pinned.get(tenant_id)
         if pinned is not None and pinned.is_ready:
             return pinned, "pinned"
-        candidates = [i for i in self._instances if i.is_ready and i.hosts(tenant_id)]
+        hosting = self._hosting.get(tenant_id)
+        if hosting is None:
+            hosting = [i for i in self._instances if i.hosts(tenant_id)]
+            self._hosting[tenant_id] = hosting
+        candidates = [i for i in hosting if i.is_ready]
         if not candidates:
-            unavailable = [
-                i
-                for i in self._instances
-                if i.hosts(tenant_id) and i.state is not InstanceState.RETIRED
-            ]
+            unavailable = [i for i in hosting if i.state is not InstanceState.RETIRED]
             if unavailable:
                 states = ", ".join(
                     f"{i.name}={i.state.value}" for i in unavailable
@@ -130,7 +141,7 @@ class QueryRouter(abc.ABC):
 
     def _named(self, tenant_id: int, instance: MPPDBInstance) -> Route:
         """An ablation router's pick with the Algorithm 1 outcome it amounts to."""
-        if tenant_id in instance.active_tenants:
+        if instance.engine.runs_tenant(tenant_id):
             return instance, "tenant-affinity"
         if instance.is_free:
             return instance, "tuning-free" if instance is self.tuning_instance else "free"
@@ -143,11 +154,11 @@ class TDDRouter(QueryRouter):
     def _choose(self, tenant_id: int, candidates: list[MPPDBInstance]) -> Route:
         # Line 1-2: the tenant already has queries running somewhere.
         for instance in candidates:
-            if tenant_id in instance.active_tenants:
+            if instance.engine.runs_tenant(tenant_id):
                 return instance, "tenant-affinity"
         # Line 4-5: MPPDB_0 if free (it is first whenever it is a candidate).
         first = candidates[0]
-        if first is self.tuning_instance and first.is_free:
+        if first is self._instances[0] and first.is_free:
             return first, "tuning-free"
         # Line 7-8: any free MPPDB.
         for instance in candidates:

@@ -216,6 +216,8 @@ class GroupRuntime:
         # and, when observing, their engine metric handles.
         self._wired: set[MPPDBInstance] = set()
         self._engine_metrics: dict[MPPDBInstance, tuple[BoundCounter, BoundHistogram]] = {}
+        # (tenant, template, instance) -> the query's dedicated work there.
+        self._work: dict[tuple[int, str, MPPDBInstance], float] = {}
         self._scheduled = False
         self._observer = observer if observer is not None else NULL_OBSERVER
         if self._observer.enabled:
@@ -366,12 +368,15 @@ class GroupRuntime:
             concurrency.observe(time, float(instance.engine.concurrency + 1))
         if outcome == "overflow" and instance is self._router.tuning_instance:
             self._overflow += 1
-        spec = self._deployed.deployment.tenant(tenant_id)
-        template = template_by_name(record.template)
-        work = (
-            template.dedicated_latency_s(spec.data_gb, instance.parallelism)
-            / instance.speed_factor
-        )
+        key = (tenant_id, record.template, instance)
+        work = self._work.get(key)
+        if work is None:
+            spec = self._deployed.deployment.tenant(tenant_id)
+            template = template_by_name(record.template)
+            work = self._work[key] = (
+                template.dedicated_latency_s(spec.data_gb, instance.parallelism)
+                / instance.speed_factor
+            )
         self._monitor.on_query_start(tenant_id, time)
         execution = instance.submit_query(tenant_id, work, label=record.template)
         if span is not None:

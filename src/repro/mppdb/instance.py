@@ -99,12 +99,12 @@ class MPPDBInstance:
     @property
     def is_ready(self) -> bool:
         """Whether the instance accepts queries."""
-        return self._state == InstanceState.READY
+        return self._state is InstanceState.READY
 
     @property
     def is_free(self) -> bool:
         """Algorithm 1's notion of *free*: ready and serving no query."""
-        return self.is_ready and not self.engine.busy
+        return self._state is InstanceState.READY and not self.engine.busy
 
     @property
     def active_tenants(self) -> set[int]:
@@ -230,7 +230,7 @@ class MPPDBInstance:
         scale-out curve.  Raises if the instance is not ready or the tenant
         is not hosted.
         """
-        if not self.is_ready:
+        if self._state is not InstanceState.READY:
             raise InstanceNotReadyError(
                 f"instance {self.name!r} is {self._state.value}, cannot accept queries"
             )

@@ -91,7 +91,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time!r}, which is before the current time {self._now!r}"
             )
-        return self._queue.push(Event(time=time, callback=callback, label=label), sequence)
+        return self._queue.push(Event(time, callback, label), sequence)
 
     def schedule_after(
         self, delay: float, callback: EventCallback, label: str = ""

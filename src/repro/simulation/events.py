@@ -10,8 +10,7 @@ the concurrency level on an instance changes.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, cast
+from typing import Any, Callable, NamedTuple, Optional, cast
 
 from ..errors import SimulationError
 
@@ -21,9 +20,12 @@ __all__ = ["Event", "ScheduledEvent", "EventQueue"]
 EventCallback = Callable[[float], None]
 
 
-@dataclass(frozen=True)
-class Event:
-    """An immutable description of something to happen at a point in time."""
+class Event(NamedTuple):
+    """An immutable description of something to happen at a point in time.
+
+    A named tuple: the replay builds one per scheduled event, and a tuple
+    is built without a ``__setattr__`` call per field.
+    """
 
     time: float
     callback: EventCallback

@@ -6,8 +6,13 @@ routed back to the same instance (tenant exclusivity), and as long as at
 most A tenants are concurrently active, no two tenants ever share an
 instance (Guarantee 1's mechanism).  Every router's named outcome must
 also equal the reference classification of its pick
-(:mod:`tests.core.routing_oracle`).
+(:mod:`tests.core.routing_oracle`), and a router that has cached each
+tenant's hosting instances must route exactly as a freshly built one,
+across scale-up instances joining and instances failing and recovering.
 """
+
+import copy
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +126,67 @@ _SCENARIOS = st.tuples(
 )
 
 
+# Events applied before a script step: a ready scale-up instance hosting
+# some tenants joins (optionally taking a pin, as elastic scaling does),
+# or an instance degrades, goes down or recovers.
+_EVENT = st.one_of(
+    st.tuples(
+        st.just("scale-up"),
+        st.sets(st.integers(min_value=1, max_value=_NUM_TENANTS), min_size=1),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=_NUM_TENANTS)),
+    ),
+    st.tuples(
+        st.sampled_from(["degraded", "down", "ready"]), st.integers(min_value=0, max_value=7)
+    ),
+)
+_EVENTS = st.dictionaries(
+    st.integers(min_value=0, max_value=24), st.lists(_EVENT, min_size=1, max_size=2), max_size=6
+)
+
+
+def _apply(event, router, sim, tokens):
+    """Change the router's instances as elastic scaling or a failure would."""
+    if event[0] == "scale-up":
+        __, hosted, pin = event
+        instance = MPPDBInstance(f"s{len(router.instances)}", 2, sim)
+        for tid in sorted(hosted):
+            instance.deploy_tenant(TenantData(tenant_id=tid, data_gb=10.0))
+        instance.mark_ready()
+        router.add_instance(instance)
+        if pin in hosted:
+            router.pin_tenant(pin, instance)
+        return
+    target, index = event
+    instance = router.instances[index % len(router.instances)]
+    if target == "ready":
+        for node in sorted(instance.failed_nodes):
+            token = next(tokens)
+            instance.begin_node_replacement(node, node, token)
+            instance.complete_node_replacement(node, token)
+        return
+    for node in range(1 if target == "degraded" else instance.parallelism):
+        instance.record_node_failure(node)
+    instance.abort_running()
+
+
+def _fresh_twin(router):
+    """A newly built router over the same instances, pins and pick state."""
+    twin = type(router)(router.instances)
+    for tenant, instance in router.pinned_tenants.items():
+        twin.pin_tenant(tenant, instance)
+    for attr in ("_rng", "_next"):  # the ablation routers' pick state
+        if hasattr(router, attr):
+            setattr(twin, attr, copy.deepcopy(getattr(router, attr)))
+    return twin
+
+
+def _route_or_error(router, tenant):
+    try:
+        return router.route(tenant)
+    except RoutingError as error:  # NoHealthyInstanceError is one too
+        return type(error)
+
+
 class TestNamedOutcomes:
     @pytest.mark.parametrize("policy", sorted(ROUTER_POLICIES))
     @given(scenario=_SCENARIOS)
@@ -153,3 +219,38 @@ class TestNamedOutcomes:
             assert outcome in ROUTING_OUTCOMES
             assert outcome == classify_decision(router, tenant, chosen)
             chosen.submit_query(tenant, work)
+
+    @pytest.mark.parametrize("policy", sorted(ROUTER_POLICIES))
+    @given(scenario=_SCENARIOS, events=_EVENTS)
+    @settings(max_examples=60, deadline=None)
+    def test_cached_router_routes_as_a_fresh_one(self, policy, scenario, events):
+        shapes, pins, script = scenario
+        sim = Simulator()
+        instances = []
+        for index, (ready, hosted, __) in enumerate(shapes):
+            instance = MPPDBInstance(f"m{index}", 4, sim)
+            for tid in sorted(hosted):
+                instance.deploy_tenant(TenantData(tenant_id=tid, data_gb=10.0))
+            if ready:
+                instance.mark_ready()
+            instances.append(instance)
+        router = ROUTER_POLICIES[policy](instances)
+        for tenant, index in pins:
+            if index < len(instances) and instances[index].hosts(tenant):
+                router.pin_tenant(tenant, instances[index])
+        tokens = itertools.count()
+        t = 0.0
+        for step, (tenant, work, gap) in enumerate(script):
+            t += gap
+            sim.run(until=t)
+            for event in events.get(step, ()):
+                _apply(event, router, sim, tokens)
+            twin = _fresh_twin(router)
+            expected = _route_or_error(twin, tenant)
+            actual = _route_or_error(router, tenant)
+            assert actual == expected
+            if isinstance(actual, tuple):
+                chosen, outcome = actual
+                assert outcome == classify_decision(router, tenant, chosen)
+                chosen.submit_query(tenant, work)
+
