@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import CapacityError, MPPDBError
 from ..obs.observer import NULL_OBSERVER, Observer
-from ..obs.tracing import STATUS_INFLIGHT, Span
+from ..obs.tracing import STATUS_INFLIGHT, EventSpan
 from ..simulation.engine import Simulator
 from .failures import FailureInjector, NodeFailure
 from .pool import MachinePool
@@ -66,7 +66,7 @@ class HealthManager:
         #: When each currently-impaired instance left READY, by name.
         self._degraded_since: dict[str, float] = {}
         #: Open ``replace`` spans per instance name (ended on recovery).
-        self._replace_spans: dict[str, Span] = {}
+        self._replace_spans: dict[str, EventSpan] = {}
         self.node_failures_handled = 0
         self.replacements_started = 0
         self.replacements_completed = 0

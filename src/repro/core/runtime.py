@@ -37,7 +37,7 @@ from ..mppdb.instance import MPPDBInstance
 from ..mppdb.provisioning import Provisioner
 from ..obs.metrics import BoundCounter, BoundHistogram
 from ..obs.observer import NULL_OBSERVER, Observer
-from ..obs.tracing import STATUS_INFLIGHT, Span
+from ..obs.tracing import STATUS_INFLIGHT, QuerySpan
 from ..simulation.engine import Simulator
 from ..simulation.events import ScheduledEvent
 from ..units import MINUTE
@@ -79,7 +79,7 @@ class _QueryState:
     attempts: int = 0
     failed_instance: Optional[str] = None
     deadline: Optional[ScheduledEvent] = None
-    span: Optional[Span] = None
+    span: Optional[QuerySpan] = None
 
 
 class _SubmitCursor:
@@ -322,15 +322,9 @@ class GroupRuntime:
         self._live[state] = None
         observer = self._observer
         if observer.enabled:
-            state.span = observer.tracer.start_span(
-                "query",
-                time,
-                kind="query",
-                group=self._deployed.group_name,
-                tenant=tenant_id,
-                template=record.template,
+            state.span = observer.tracer.start_query_span(
+                time, self._deployed.group_name, tenant_id, record.template
             )
-            state.span.add_event(time, "submit")
         self._dispatch(state, time)
 
     def _dispatch(self, state: _QueryState, time: float) -> None:
@@ -359,9 +353,6 @@ class GroupRuntime:
                 )
         if span is not None:
             self._routed[outcome].inc(time)
-            span.add_event(
-                time, "route", instance=instance.name, outcome=outcome, attempt=state.attempts
-            )
             queries, concurrency = self._engine_metrics[instance]
             queries.inc(time)
             # Concurrency as seen on admission, counting this query.
@@ -380,14 +371,9 @@ class GroupRuntime:
         self._monitor.on_query_start(tenant_id, time)
         execution = instance.submit_query(tenant_id, work, label=record.template)
         if span is not None:
-            span.add_event(
-                time,
-                "admit",
-                instance=instance.name,
-                work_s=round(work, 6),
-                concurrency=instance.engine.concurrency,
+            span.dispatched(
+                time, instance.name, outcome, state.attempts, work, instance.engine.concurrency
             )
-            span.add_event(time, "execute")
         if execution.finished:
             # Degenerate zero-work query: the engine completed it inside
             # submit_query, before it could be registered as in flight.
@@ -493,11 +479,12 @@ class GroupRuntime:
         self._sla_records.append(sla_record)
         span = state.span
         if span is not None:
-            status = "complete" if sla_record.met else "violate"
-            span.set_attr("observed_latency_s", sla_record.observed_latency_s)
-            span.set_attr("normalized", round(sla_record.normalized, 9))
-            span.add_event(finish, status)
-            span.finish(finish, status=status)
+            span.settle(
+                finish,
+                "complete" if sla_record.met else "violate",
+                sla_record.observed_latency_s,
+                sla_record.normalized,
+            )
 
     def _fail(self, state: _QueryState, time: float, reason: str) -> None:
         """Terminal: surface a query that fault handling could not save."""

@@ -10,7 +10,8 @@ measurement plane:
 * **Tracing** — spans over the query/tenant lifecycle (``submit → route
   → admit → execute → complete``/``violate``), plus scaling and
   reconsolidation spans, with deterministic ids.  One :class:`Span`
-  object is opened, annotated, finished and kept by the sink
+  object is opened, annotated, finished and kept by the sink; a query's
+  span is a record that builds its attributes and events when read
   (:mod:`repro.obs.tracing`).
 * **Sinks** — pluggable destinations; the default :data:`NULL_SINK`
   makes every instrumentation site a single branch

@@ -350,7 +350,7 @@ class MetricsRegistry:
         self._collectors: list[Callable[[], None]] = []
 
     def __iter__(self) -> Iterator[MetricFamily]:
-        return iter(sorted(self._families.values(), key=lambda f: f.name))
+        return iter(self._families.values())
 
     def _register(self, family: MetricFamily) -> MetricFamily:
         existing = self._families.get(family.name)
@@ -361,7 +361,9 @@ class MetricsRegistry:
                     "kind or label set"
                 )
             return existing
-        self._families[family.name] = family
+        # A new dict in name order: every scrape iterates without sorting,
+        # and an iteration already under way keeps the old one.
+        self._families = dict(sorted([*self._families.items(), (family.name, family)]))
         return family
 
     def counter(

@@ -11,9 +11,11 @@ Two sinks cover the use cases:
   (``metrics.jsonl`` / ``spans.jsonl``) for the run report.
 
 A finished span arrives as the :class:`~repro.obs.tracing.Span` object
-the runtime annotated, not a copy; the sink keeps it as it is.  Span and
-event attributes stay as the emitter passed them until ``as_dict``
-normalizes them to JSON (:func:`jsonable_attrs`).
+the runtime annotated, not a copy; the sink keeps it as it is.  A query
+span (:class:`~repro.obs.tracing.QuerySpan`) is a record whose ``attrs``
+and ``events`` are read-only views built on each read.  Span and event
+attributes stay as the emitter passed them until ``as_dict`` normalizes
+them to JSON (:func:`jsonable_attrs`).
 
 There is one telemetry path: overflow, park, retry, failover and failure
 are query-span events plus counters, and each scale-up is a ``scaling``
@@ -29,7 +31,16 @@ import abc
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (tracing imports this module)
     from .tracing import Span
@@ -62,8 +73,7 @@ def jsonable_attrs(attrs: Mapping[str, AttrValue]) -> dict[str, object]:
     return {k: _jsonable(v) for k, v in attrs.items()}
 
 
-@dataclass(frozen=True)
-class MetricSample:
+class MetricSample(NamedTuple):
     """One sim-time-stamped reading of a metric child.
 
     A gauge sample is the level set at ``time``; a counter sample is the

@@ -289,6 +289,130 @@ class TestParkDrain:
             assert [e.name for e in span.events].count("park") == 1
 
 
+def _chain(span):
+    """A query span as exported: its status, attrs and (time, name, attrs) events."""
+    return (
+        span.start,
+        span.end,
+        span.status,
+        dict(span.attrs),
+        [(e.time, e.name, dict(e.attrs)) for e in span.events],
+    )
+
+
+_ATTRS = {"group": "tg0", "tenant": 1, "template": "tpch.q1"}
+
+
+def _dispatch(time, instance, outcome, attempt, concurrency=1, work_s=0.9):
+    return [
+        (time, "route", {"instance": instance, "outcome": outcome, "attempt": attempt}),
+        (time, "admit", {"instance": instance, "work_s": work_s, "concurrency": concurrency}),
+        (time, "execute", {}),
+    ]
+
+
+class TestQuerySpanChains:
+    """Span chains on the paths the export goldens do not pin.
+
+    Each expected chain is the one the runtime recorded when it built
+    every event as it happened; the query span now builds them on read.
+    """
+
+    def _runtime(self, submits, *, num_instances=3, data_gb=None, health=None):
+        sim, provisioner, deployed, tenants = _deploy(
+            num_tenants=1, num_instances=num_instances, data_gb=data_gb
+        )
+        sink = MemorySink()
+        runtime = GroupRuntime(
+            deployed,
+            {1: _log(tenants[0], submits)},
+            sim,
+            provisioner,
+            sla_fraction=0.999,
+            observer=Observer(sink),
+            health=health,
+        )
+        return sim, deployed, runtime, sink
+
+    def test_zero_work_query_settled_inside_dispatch(self):
+        __, __, runtime, sink = self._runtime([100.0], data_gb=0.0)
+        runtime.run(until=1000.0)
+        (span,) = sink.spans_of("query")
+        assert _chain(span) == (
+            100.0, 100.0, "complete",
+            {**_ATTRS, "observed_latency_s": 0.0, "normalized": 0.0},
+            [
+                (100.0, "submit", {}),
+                *_dispatch(100.0, "tg0/mppdb0", "tuning-free", 1, concurrency=0, work_s=0.0),
+                (100.0, "complete", {}),
+            ],
+        )
+
+    def test_park_then_recovery_drain_then_route(self):
+        health = TestParkDrain._Health()
+        sim, deployed, runtime, sink = self._runtime([100.0], num_instances=1, health=health)
+        (instance,) = deployed.instances
+        instance.record_node_failure(7)
+
+        def recover(time):
+            instance.begin_node_replacement(7, 8, token=1)
+            instance.complete_node_replacement(8, token=1)
+            health.recover(instance, time)
+
+        sim.schedule(300.0, recover)
+        runtime.run(until=10_000.0)
+        (span,) = sink.spans_of("query")
+        assert _chain(span) == (
+            100.0, 300.9, "violate",
+            {**_ATTRS, "observed_latency_s": 200.89999999999998, "normalized": 223.222222222},
+            [
+                (100.0, "submit", {}),
+                (100.0, "park", {}),
+                *_dispatch(300.0, "tg0/mppdb0", "tuning-free", 1),
+                (300.9, "violate", {}),
+            ],
+        )
+
+    def test_abort_retry_failover_then_completion(self):
+        sim, deployed, runtime, sink = self._runtime([100.0], num_instances=2)
+
+        def kill(time):
+            for instance in deployed.instances:
+                if instance.engine.concurrency:
+                    instance.record_node_failure(7)
+                    instance.abort_running()
+
+        sim.schedule(100.5, kill)
+        runtime.run(until=10_000.0)
+        (span,) = sink.spans_of("query")
+        assert _chain(span) == (
+            100.0, 102.4, "violate",
+            {**_ATTRS, "observed_latency_s": 2.4000000000000057, "normalized": 2.666666667},
+            [
+                (100.0, "submit", {}),
+                *_dispatch(100.0, "tg0/mppdb0", "tuning-free", 1),
+                (100.5, "abort", {"instance": "tg0/mppdb0", "attempt": 1, "remaining_s": 0.4}),
+                (100.5, "retry", {"delay_s": 1.0, "attempt": 2}),
+                (101.5, "failover", {"failed": "tg0/mppdb0", "survivor": "tg0/mppdb1"}),
+                *_dispatch(101.5, "tg0/mppdb1", "free", 2),
+                (102.4, "violate", {}),
+            ],
+        )
+
+    def test_running_query_finished_inflight_at_the_horizon(self):
+        __, __, runtime, sink = self._runtime([100.0])
+        runtime.run(until=100.5)
+        (span,) = sink.spans_of("query")
+        assert _chain(span) == (
+            100.0, 100.5, "inflight", _ATTRS,
+            [
+                (100.0, "submit", {}),
+                *_dispatch(100.0, "tg0/mppdb0", "tuning-free", 1),
+                (100.5, "inflight", {}),
+            ],
+        )
+
+
 class TestValidation:
     def test_missing_logs_rejected(self):
         sim, provisioner, deployed, tenants = _deploy()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import MemorySink, NullSink, Tracer
+from repro.obs import STATUS_INFLIGHT, MemorySink, NullSink, Tracer
 
 
 @pytest.fixture
@@ -99,3 +99,80 @@ class TestTracer:
     def test_kind_defaults_to_name(self, tracer, sink):
         tracer.start_span("scaling", 0.0).finish(1.0)
         assert sink.spans[0].kind == "scaling"
+
+
+class TestQuerySpan:
+    """A query span is a record: attrs and events are read-only views built on read."""
+
+    def _span(self, tracer):
+        span = tracer.start_query_span(1.0, "g1", 7, "tpch.q1")
+        span.dispatched(2.0, "g1/mppdb0", "free", 1, 0.12345678, 3)
+        return span
+
+    def test_settled_span_reads_its_whole_chain(self, tracer, sink):
+        span = self._span(tracer)
+        span.settle(4.0, "violate", 3.0, 1.23456789012)
+        (emitted,) = sink.spans
+        assert emitted is span
+        assert (span.kind, span.name, span.parent_id) == ("query", "query", None)
+        assert span.attrs == {
+            "group": "g1", "tenant": 7, "template": "tpch.q1",
+            "observed_latency_s": 3.0, "normalized": 1.23456789,
+        }
+        assert [(e.time, e.name, dict(e.attrs)) for e in span.events] == [
+            (1.0, "submit", {}),
+            (2.0, "route", {"instance": "g1/mppdb0", "outcome": "free", "attempt": 1}),
+            (2.0, "admit", {"instance": "g1/mppdb0", "work_s": 0.123457, "concurrency": 3}),
+            (2.0, "execute", {}),
+            (4.0, "violate", {}),
+        ]
+
+    def test_explicit_events_keep_their_place_in_the_log(self, tracer):
+        span = tracer.start_query_span(0.0, "g1", 7, "tpch.q1")
+        span.add_event(0.0, "park")
+        span.dispatched(5.0, "g1/mppdb1", "free", 1, 1.0, 1)
+        span.add_event(6.0, "abort", instance="g1/mppdb1", attempt=1, remaining_s=0.5)
+        span.add_event(6.0, STATUS_INFLIGHT)
+        span.finish(6.0, status=STATUS_INFLIGHT)
+        assert [e.name for e in span.events] == [
+            "submit", "park", "route", "admit", "execute", "abort", STATUS_INFLIGHT
+        ]
+        assert "observed_latency_s" not in span.attrs
+
+    def test_reads_are_equal_and_read_only(self, tracer):
+        span = self._span(tracer)
+        assert span.events == span.events
+        assert span.attrs == span.attrs
+        with pytest.raises(TypeError):
+            span.attrs["tenant"] = 8
+        with pytest.raises(AttributeError):
+            span.events.append(None)
+        with pytest.raises(TypeError):
+            span.events[1].attrs["instance"] = "elsewhere"
+        assert span.attrs["tenant"] == 7
+        assert span.events[1].attrs["instance"] == "g1/mppdb0"
+
+    def test_set_attr_is_kept_and_exported(self, tracer, sink):
+        span = self._span(tracer)
+        span.set_attr("note", "kept")
+        span.settle(4.0, "complete", 3.0, 0.5)
+        assert span.attrs["note"] == "kept"
+        assert sink.spans[0].as_dict()["attrs"]["note"] == "kept"
+
+    def test_writes_after_finish_rejected(self, tracer):
+        span = self._span(tracer)
+        span.settle(4.0, "complete", 3.0, 0.5)
+        with pytest.raises(ObservabilityError):
+            span.set_attr("note", "late")
+        with pytest.raises(ObservabilityError):
+            span.add_event(5.0, "late")
+        with pytest.raises(ObservabilityError):
+            span.dispatched(5.0, "g1/mppdb0", "free", 2, 1.0, 1)
+        with pytest.raises(ObservabilityError):
+            span.settle(5.0, "complete", 4.0, 0.5)
+        assert "note" not in span.attrs
+
+    def test_ids_shared_with_every_other_span(self, tracer):
+        first = tracer.start_span("scaling", 0.0)
+        query = tracer.start_query_span(0.0, "g1", 7, "tpch.q1")
+        assert (first.span_id, query.span_id) == (1, 2)
