@@ -52,7 +52,7 @@ from .scaling import (
     WholeGroupScaling,
 )
 from .service import ServiceReport, ThriftyService
-from .sla import SLARecord, SLAReport
+from .sla import SLALedger, SLARecord, SLAReport
 from .tdd import ClusterDesign, TenantPlacement, design_for_group
 from .tuning import ManualTuner, recommended_tuning_nodes
 
@@ -92,6 +92,7 @@ __all__ = [
     "DisabledScaling",
     "ServiceReport",
     "ThriftyService",
+    "SLALedger",
     "SLARecord",
     "SLAReport",
     "ClusterDesign",

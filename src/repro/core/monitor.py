@@ -14,10 +14,16 @@ transitions, using the strong notion of activity) and exposes:
 * Per-tenant busy intervals within a window, discretized into
   :class:`~repro.workload.activity.ActivityItem` s — the input of the
   over-active-tenant identification algorithm.
+
+Every reader looks back one window from the present, so the runtime
+prunes the monitor to that window at each tick (:meth:`GroupActivityMonitor.prune`):
+its memory follows live activity, not the replay's horizon.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import DeploymentError
@@ -44,7 +50,8 @@ class GroupActivityMonitor:
         self._concurrency = StepSeries(0.0, start_time)
         self._running: dict[int, int] = {}
         self._open_since: dict[int, float] = {}
-        self._closed: dict[int, list[tuple[float, float]]] = {}
+        # Each tenant's closed busy intervals, in time order: starts, ends.
+        self._closed: dict[int, tuple[array[float], array[float]]] = {}
         self._nodes_of: dict[int, int] = {}
         self._excluded: set[int] = set()
         self._start_time = start_time
@@ -73,7 +80,8 @@ class GroupActivityMonitor:
     def register_tenant(self, tenant_id: int, nodes_requested: int) -> None:
         """Declare a tenant of this group (needed for activity items)."""
         self._nodes_of[tenant_id] = nodes_requested
-        self._closed.setdefault(tenant_id, [])
+        if tenant_id not in self._closed:
+            self._closed[tenant_id] = (array("d"), array("d"))
 
     def exclude_tenant(self, tenant_id: int, time: float) -> None:
         """Stop counting a tenant toward the group's concurrency.
@@ -90,10 +98,7 @@ class GroupActivityMonitor:
         self._excluded.add(tenant_id)
         if tenant_id in self._running:
             del self._running[tenant_id]
-            started = self._open_since.pop(tenant_id)
-            self._closed[tenant_id].append((started, time))
-            self._concurrency.increment(time, -1.0)
-            self._sample_concurrency(time)
+            self._close(tenant_id, time)
 
     @property
     def excluded_tenants(self) -> set[int]:
@@ -122,12 +127,17 @@ class GroupActivityMonitor:
             raise DeploymentError(f"tenant {tenant_id} has no running queries to finish")
         if count == 1:
             del self._running[tenant_id]
-            started = self._open_since.pop(tenant_id)
-            self._closed[tenant_id].append((started, time))
-            self._concurrency.increment(time, -1.0)
-            self._sample_concurrency(time)
+            self._close(tenant_id, time)
         else:
             self._running[tenant_id] = count - 1
+
+    def _close(self, tenant_id: int, time: float) -> None:
+        """End the tenant's open busy interval at ``time``."""
+        starts, ends = self._closed[tenant_id]
+        starts.append(self._open_since.pop(tenant_id))
+        ends.append(time)
+        self._concurrency.increment(time, -1.0)
+        self._sample_concurrency(time)
 
     def active_tenants(self) -> set[int]:
         """Tenants with at least one query currently running."""
@@ -140,18 +150,35 @@ class GroupActivityMonitor:
             return 1.0
         return self._concurrency.fraction_time_at_most(self.replication_factor, start, now)
 
+    def prune(self, before: float) -> None:
+        """Forget the activity that ended at or before ``before``.
+
+        Drops the concurrency change points superseded by ``before`` and
+        the closed busy intervals ending by then.  RT-TTP, busy intervals
+        and activity items over any window starting at or after
+        ``before`` read exactly as without the prune.
+        """
+        self._concurrency.drop_before(before)
+        for starts, ends in self._closed.values():
+            gone = bisect_right(ends, before)
+            if gone:
+                del starts[:gone]
+                del ends[:gone]
+
     def tenant_busy_intervals(self, tenant_id: int, start: float, end: float) -> list[tuple[float, float]]:
         """A tenant's merged busy intervals clipped to ``[start, end)``."""
         if tenant_id not in self._nodes_of:
             raise DeploymentError(f"tenant {tenant_id} is not registered with {self.group_name!r}")
-        intervals = list(self._closed[tenant_id])
-        if tenant_id in self._open_since:
-            intervals.append((self._open_since[tenant_id], end))
-        clipped = [
-            (max(s, start), min(e, end))
-            for s, e in intervals
-            if e > start and s < end
-        ]
+        starts, ends = self._closed[tenant_id]
+        clipped: list[tuple[float, float]] = []
+        for i in range(bisect_right(ends, start), len(ends)):
+            s = starts[i]
+            if s >= end:
+                break
+            clipped.append((max(s, start), min(ends[i], end)))
+        opened = self._open_since.get(tenant_id)
+        if opened is not None and end > start and opened < end:
+            clipped.append((max(opened, start), end))
         return merge_intervals(clipped)
 
     def activity_items(self, start: float, end: float, epoch_size: float) -> list[ActivityItem]:

@@ -54,7 +54,7 @@ from .master import DeployedGroup
 from .monitor import GroupActivityMonitor
 from .routing import ROUTING_OUTCOMES, QueryRouter, TDDRouter
 from .scaling import DisabledScaling, ScalingAction, ScalingPolicy
-from .sla import SLARecord, SLAReport
+from .sla import SLALedger, SLAReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a layer cycle)
     from ..cluster.health import HealthManager
@@ -191,10 +191,14 @@ class GroupRuntime:
         self._router = router if router is not None else TDDRouter(deployed.instances)
         self._scaling = scaling if scaling is not None else DisabledScaling()
         self._interval = monitor_interval_s
-        self._sla_records: list[SLARecord] = []
+        self._sla = SLALedger()
         self._rt_ttp_samples: list[tuple[float, float]] = []
         self._submitted = 0
         self._overflow = 0
+        # Dispatch tallies: attempts routed per outcome, and per instance
+        # this runtime has sent a query to (see _wire_instance).
+        self._routed = dict.fromkeys(ROUTING_OUTCOMES, 0)
+        self._admitted: dict[MPPDBInstance, int] = {}
         # Every first-submitted query is in ``_live`` (in first-submission
         # order) until its one terminal removes it, so ``completed + failed
         # + len(_live)`` counts first submissions by construction.
@@ -212,9 +216,7 @@ class GroupRuntime:
             health.on_recover(self._on_instance_recovered)
         for spec in deployed.deployment.tenants:
             self._monitor.register_tenant(spec.tenant_id, spec.nodes_requested)
-        # Instances this runtime has sent a query to (see _wire_instance),
-        # and, when observing, their engine metric handles.
-        self._wired: set[MPPDBInstance] = set()
+        # When observing, the engine metric handles of the admitting instances.
         self._engine_metrics: dict[MPPDBInstance, tuple[BoundCounter, BoundHistogram]] = {}
         # (tenant, template, instance) -> the query's dedicated work there.
         self._work: dict[tuple[int, str, MPPDBInstance], float] = {}
@@ -241,8 +243,8 @@ class GroupRuntime:
     def _observe(self, o: Observer) -> None:
         """Bind the group's metric handles once and register its collector.
 
-        The RT-TTP gauge, routing-outcome counter and engine metrics are pushed
-        as events happen; :meth:`_collect` publishes the rest at every scrape.
+        The RT-TTP gauge and the engine concurrency histogram are pushed as
+        events happen; :meth:`_collect` publishes the rest at every scrape.
         """
         group = self._deployed.group_name
         self._books = tuple(family.labels(group=group) for family in (
@@ -253,33 +255,41 @@ class GroupRuntime:
         self._normalized = o.normalized_latency.labels(group=group)
         self._rt_ttp_gauge = o.rt_ttp.labels(group=group)
         routing = o.routing_decisions
-        self._routed = {k: routing.labels(group=group, outcome=k) for k in ROUTING_OUTCOMES}
-        self._unmet, self._seen = 0, (0,) * 7
+        self._routing_counters = tuple(
+            routing.labels(group=group, outcome=k) for k in self._routed
+        )
+        self._seen = (0,) * 8
         o.metrics.add_collector(self._collect)
         self._monitor.observe_with(o)
 
     def _collect(self) -> None:
-        """Publish the group's books as counter totals (the scrape).
+        """Publish the group's books and dispatch tallies as counter totals (the scrape).
 
-        Returns at once when the books are unchanged.  SLA records new since
-        the last scrape fold into the histograms in completion order, so each
-        sum adds the same floats in the same order as per-completion updates.
+        Returns at once when nothing changed.  Ledger rows new since the
+        last scrape fold into the histograms in completion order, so each
+        sum adds the same floats in the same order as per-completion
+        updates.
         """
-        records, seen = self._sla_records, self._seen
-        books = (len(records), len(self._fault_records), len(self._live), self._overflow,
-                 self._retried, self._failovers, len(self._scaling.actions))
+        ledger, seen = self._sla, self._seen
+        books = (len(ledger), len(self._fault_records), len(self._live), self._overflow,
+                 self._retried, self._failovers, len(self._scaling.actions),
+                 sum(self._routed.values()))
         if books == seen:
             return
         time = self._sim.now
-        for record in records[seen[0]:]:
-            self._latency.observe(time, record.observed_latency_s)
-            self._normalized.observe(time, record.normalized)
-            self._unmet += not record.met
+        for observed, normalized in ledger.latencies(seen[0]):
+            self._latency.observe(time, observed)
+            self._normalized.observe(time, normalized)
         self._seen = books
-        completed, failed, live, *tallies, __ = books  # tallies: overflow, retries, failovers
-        totals = (completed + failed + live, completed, *tallies, failed, self._unmet + failed)
+        completed, failed, live, *tallies, __, __ = books  # tallies: overflow, retries, failovers
+        unmet = completed - ledger.met
+        totals = (completed + failed + live, completed, *tallies, failed, unmet + failed)
         for handle, total in zip(self._books, totals):
             handle.set_total(time, total)
+        for handle, total in zip(self._routing_counters, self._routed.values()):
+            handle.set_total(time, total)
+        for instance, total in self._admitted.items():
+            self._engine_metrics[instance][0].set_total(time, total)
         group = self._deployed.group_name
         kinds = Counter(a.kind for a in self._scaling.actions if a.group_name == group)
         for kind, count in kinds.items():
@@ -310,7 +320,7 @@ class GroupRuntime:
             self._engine_metrics[instance] = (
                 o.engine_queries.labels(instance=name), o.engine_concurrency.labels(instance=name)
             )
-        self._wired.add(instance)
+        self._admitted[instance] = 0
 
     def _submit(self, tenant_id: int, record: QueryRecord, time: float) -> None:
         """First submission of a logged query: open its state, then dispatch.
@@ -342,8 +352,10 @@ class GroupRuntime:
             state.deadline = None
         state.attempts += 1
         failed_from, state.failed_instance = state.failed_instance, None
-        if instance not in self._wired:
+        if instance not in self._admitted:
             self._wire_instance(instance)
+        self._admitted[instance] += 1
+        self._routed[outcome] += 1
         span = state.span
         if failed_from is not None and instance.name != failed_from:
             self._failovers += 1
@@ -352,9 +364,7 @@ class GroupRuntime:
                     time, "failover", failed=failed_from, survivor=instance.name
                 )
         if span is not None:
-            self._routed[outcome].inc(time)
-            queries, concurrency = self._engine_metrics[instance]
-            queries.inc(time)
+            __, concurrency = self._engine_metrics[instance]
             # Concurrency as seen on admission, counting this query.
             concurrency.observe(time, float(instance.engine.concurrency + 1))
         if outcome == "overflow" and instance is self._router.tuning_instance:
@@ -467,24 +477,14 @@ class GroupRuntime:
         record = state.record
         # A retried query's observed latency spans from its *first*
         # submission, so retry backoff honestly counts against the SLA.
-        sla_record = SLARecord(
-            tenant_id=state.tenant,
-            group_name=self._deployed.group_name,
-            instance_name=instance_name,
-            template=record.template,
-            submit_time_s=record.submit_time_s,
-            baseline_latency_s=record.latency_s,
-            observed_latency_s=finish - state.first_submit,
+        observed = finish - state.first_submit
+        normalized, met = self._sla.append(
+            state.tenant, self._deployed.group_name, instance_name, record.template,
+            record.submit_time_s, record.latency_s, observed,
         )
-        self._sla_records.append(sla_record)
         span = state.span
         if span is not None:
-            span.settle(
-                finish,
-                "complete" if sla_record.met else "violate",
-                sla_record.observed_latency_s,
-                sla_record.normalized,
-            )
+            span.settle(finish, "complete" if met else "violate", observed, normalized)
 
     def _fail(self, state: _QueryState, time: float, reason: str) -> None:
         """Terminal: surface a query that fault handling could not save."""
@@ -527,7 +527,8 @@ class GroupRuntime:
         self._observer.metrics.flush(time)
 
     def _periodic_check(self, time: float) -> None:
-        rt_ttp = self._monitor.rt_ttp(time, self._scaling.window_s)
+        window = self._scaling.window_s
+        rt_ttp = self._monitor.rt_ttp(time, window)
         self._rt_ttp_samples.append((time, rt_ttp))
         observer = self._observer
         if observer.enabled:
@@ -541,6 +542,8 @@ class GroupRuntime:
             self._sla_fraction,
             rt_ttp=rt_ttp,
         )
+        # Every reader looks back one window at most, from this tick on.
+        self._monitor.prune(time - window)
         if action is not None and observer.enabled:
             # The span runs from the trigger to the new MPPDB's expected readiness.
             observer.tracer.start_span(
@@ -604,11 +607,11 @@ class GroupRuntime:
         """Snapshot of everything observed so far."""
         return RuntimeReport(
             group_name=self._deployed.group_name,
-            sla=SLAReport(self._sla_records),
+            sla=self._sla.report(),
             rt_ttp_samples=list(self._rt_ttp_samples),
             scaling_actions=list(self._scaling.actions),
             queries_submitted=self._submitted,
-            queries_completed=len(self._sla_records),
+            queries_completed=len(self._sla),
             overflow_queries=self._overflow,
             queries_retried=self._retried,
             queries_failed=len(self._fault_records),

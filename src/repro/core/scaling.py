@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -208,7 +208,8 @@ class LightweightScaling(ScalingPolicy):
 
     historical_fraction:
         Optional per-tenant *historical* active fraction (from the
-        activity matrix the Deployment Advisor planned on).  With it,
+        activity matrix the Deployment Advisor planned on), kept as given
+        and only read.  With it,
         identification follows the paper's phrasing — "identify the
         tenant(s) that are more active than the history indicated" — by
         evicting tenants in decreasing order of recent-to-historical
@@ -223,10 +224,12 @@ class LightweightScaling(ScalingPolicy):
         self,
         window_s: float = DAY,
         identification_epoch_s: float = 10.0,
-        historical_fraction: Optional[dict[int, float]] = None,
+        historical_fraction: Optional[Mapping[int, float]] = None,
     ) -> None:
         super().__init__(window_s=window_s, identification_epoch_s=identification_epoch_s)
-        self.historical_fraction = dict(historical_fraction or {})
+        self.historical_fraction: Mapping[int, float] = (
+            historical_fraction if historical_fraction is not None else {}
+        )
 
     def _deviation_ratio(self, item: ActivityItem, window_epochs: int) -> float:
         recent = item.active_epoch_count / max(window_epochs, 1)
@@ -362,7 +365,7 @@ class ProactiveScaling(LightweightScaling):
         self,
         window_s: float = DAY,
         identification_epoch_s: float = 10.0,
-        historical_fraction: Optional[dict[int, float]] = None,
+        historical_fraction: Optional[Mapping[int, float]] = None,
         lead_time_s: float = 4 * 3600.0,
         min_samples: int = 4,
     ) -> None:

@@ -17,7 +17,8 @@ global metrics come out of one clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from ..cluster.failures import FailureInjector
 from ..cluster.health import HealthManager
@@ -68,11 +69,8 @@ class ServiceReport:
 
     @property
     def sla(self) -> SLAReport:
-        """All groups' SLA records combined."""
-        records = []
-        for report in self.group_reports.values():
-            records.extend(report.sla.records)
-        return SLAReport(records)
+        """All groups' SLA records combined, in group order (copies no row)."""
+        return SLAReport.combine(report.sla for report in self.group_reports.values())
 
     @property
     def consolidation_effectiveness(self) -> float:
@@ -143,6 +141,7 @@ class ThriftyService:
         self._monitor_interval = monitor_interval_s
         self._workload: Optional[ComposedWorkload] = None
         self._advice: Optional[AdvisorResult] = None
+        self._history: Mapping[int, float] = MappingProxyType({})
         self._runtimes: dict[str, GroupRuntime] = {}
         self._reconsolidations = 0
 
@@ -180,15 +179,18 @@ class ThriftyService:
         self.health.watch(self._chaos)
         return self._chaos.arm(horizon)
 
-    def _historical_fractions(self) -> dict[int, float]:
-        """Per-tenant planned active fraction, from the advisor's matrix."""
-        if self._advice is None:
-            return {}
-        problem = self._advice.grouping.problem
-        return {
+    def _set_advice(self, advice: AdvisorResult) -> None:
+        """Adopt a plan and its per-tenant planned active fractions.
+
+        The fractions are computed once per plan; every group's scaling
+        policy shares the one read-only mapping.
+        """
+        self._advice = advice
+        problem = advice.grouping.problem
+        self._history = MappingProxyType({
             item.tenant_id: item.active_epoch_count / problem.num_epochs
             for item in problem.items
-        }
+        })
 
     def _make_scaling(self) -> ScalingPolicy:
         policy_cls = SCALING_POLICIES[self._scaling_name]
@@ -198,7 +200,7 @@ class ThriftyService:
             # tenants against the planned (historical) activity.
             return policy_cls(
                 identification_epoch_s=epoch,
-                historical_fraction=self._historical_fractions(),
+                historical_fraction=self._history,
             )
         return policy_cls(identification_epoch_s=epoch)
 
@@ -214,7 +216,7 @@ class ThriftyService:
         advice = self.advisor.plan_from_workload(workload, epoch_size)
         self.master.deploy(advice.plan, instant=instant)
         self._workload = workload
-        self._advice = advice
+        self._set_advice(advice)
         return advice
 
     def replay(
@@ -340,10 +342,11 @@ class ThriftyService:
             span.set_attr("torn_down", tuple(sorted(torn_down)))
             span.set_attr("groups_after", len(result.plan))
             span.finish(self.simulator.now)
-        self._advice = AdvisorResult(
+        advice = AdvisorResult(
             plan=result.plan, grouping=result.grouping, excluded=self._advice.excluded
         )
-        return self._advice
+        self._set_advice(advice)
+        return advice
 
     def invoices(self, pricing: Optional[PricingModel] = None) -> list[TenantInvoice]:
         """Bill every consolidated tenant for its composed activity."""

@@ -9,6 +9,7 @@ the meaningful statistics.
 from __future__ import annotations
 
 import bisect
+from array import array
 from typing import Iterable
 
 from ..errors import SimulationError
@@ -17,11 +18,14 @@ __all__ = ["StepSeries"]
 
 
 class StepSeries:
-    """A piecewise-constant signal; value changes take effect at set times."""
+    """A piecewise-constant signal; value changes take effect at set times.
+
+    The change points are two ``array('d')`` columns, 16 bytes a point.
+    """
 
     def __init__(self, initial: float = 0.0, start_time: float = 0.0) -> None:
-        self._times: list[float] = [float(start_time)]
-        self._values: list[float] = [float(initial)]
+        self._times = array("d", [start_time])
+        self._values = array("d", [initial])
         # threshold -> ascending indices of the change points whose value
         # exceeds it; built on the first query for a threshold, then kept
         # current by ``set``.
@@ -30,13 +34,14 @@ class StepSeries:
     def set(self, time: float, value: float) -> None:
         """Change the signal value at ``time`` (non-decreasing times)."""
         times = self._times
-        if time < times[-1]:
+        latest = times[-1]
+        if time < latest:
             raise SimulationError(
-                f"changes must be time-ordered: {time!r} < last {times[-1]!r}"
+                f"changes must be time-ordered: {time!r} < last {latest!r}"
             )
         value = float(value)
         last = len(times) - 1
-        if time == times[-1]:
+        if time == latest:
             # Same-instant update overrides the previous change.
             self._values[-1] = value
             for threshold, above in self._above.items():
@@ -46,7 +51,7 @@ class StepSeries:
                 elif value > threshold:
                     above.append(last)
             return
-        times.append(float(time))
+        times.append(time)
         self._values.append(value)
         for threshold, above in self._above.items():
             if value > threshold:
@@ -66,6 +71,23 @@ class StepSeries:
             raise SimulationError(f"time {time!r} precedes the series start {self._times[0]!r}")
         idx = bisect.bisect_right(self._times, time) - 1
         return self._values[idx]
+
+    def drop_before(self, time: float) -> None:
+        """Forget the change points superseded at or before ``time``.
+
+        Keeps the point in force at ``time``, so every value and every
+        fraction over a window starting at or after ``time`` is unchanged;
+        the above-threshold indices are re-based onto the kept points.
+        """
+        times = self._times
+        drop = bisect.bisect_right(times, time) - 1
+        if drop <= 0:
+            return
+        del times[:drop]
+        del self._values[:drop]
+        for threshold, above in self._above.items():
+            first = bisect.bisect_left(above, drop)
+            self._above[threshold] = [i - drop for i in above[first:]]
 
     def changes(self) -> Iterable[tuple[float, float]]:
         """Iterate the ``(time, value)`` change points."""

@@ -49,3 +49,25 @@ def rt_ttp(
     if now <= start:
         return 1.0
     return fraction_time_at_most(series, replication_factor, start, now)
+
+
+def record_unpruned(patch) -> dict[StepSeries, StepSeries]:
+    """Mirror every :class:`StepSeries` change into an unpruned copy.
+
+    Patches ``StepSeries.set`` on ``patch`` (a ``pytest.MonkeyPatch``);
+    the returned dict maps each series changed from then on to its copy,
+    which ``drop_before`` never touches, so it holds the whole history.
+    """
+    full: dict[StepSeries, StepSeries] = {}
+    original = StepSeries.set
+
+    def set_and_mirror(series: StepSeries, time: float, value: float) -> None:
+        copy = full.get(series)
+        if copy is None:
+            start, initial = next(iter(series.changes()))
+            copy = full[series] = StepSeries(initial, start)
+        original(copy, time, value)
+        original(series, time, value)
+
+    patch.setattr(StepSeries, "set", set_and_mirror)
+    return full

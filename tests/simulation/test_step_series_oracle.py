@@ -103,6 +103,39 @@ def test_index_stays_exact_while_the_series_grows(seed):
                 )
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_pruned_series_reads_as_the_whole_history(seed):
+    # Drop behind a trailing window, as the monitor does at each tick (the
+    # cutoff never moves back).  Every window that starts at or after the
+    # cutoff must read as the unpruned history, including through
+    # same-instant overrides at the kept point.
+    rng = random.Random(2000 + seed)
+    patch = pytest.MonkeyPatch()
+    full = oracle.record_unpruned(patch)
+    try:
+        series = StepSeries(float(rng.randint(0, R + 2)))
+        t = cutoff = 0.0
+        for step in range(800):
+            if rng.random() > 0.2:
+                t += rng.uniform(0.01, 10.0)
+            series.set(t, float(rng.randint(0, R + 3)))
+            if step % 5 == 0:
+                cutoff = max(cutoff, t - rng.uniform(0.0, 200.0))
+                series.drop_before(cutoff)
+                end = t + rng.choice([1e-3, 5.0])
+                for start in (cutoff, rng.uniform(cutoff, end)):
+                    if end <= start:
+                        continue
+                    for threshold in THRESHOLDS:
+                        assert series.fraction_time_above(threshold, start, end) == (
+                            oracle.fraction_time_above(full[series], threshold, start, end)
+                        )
+                    assert series.value_at(start) == full[series].value_at(start)
+    finally:
+        patch.undo()
+    assert len(list(series.changes())) < len(list(full[series].changes()))
+
+
 def test_override_drops_and_restores_an_index_entry():
     series = StepSeries(0.0)
     assert series.fraction_time_above(R, 0.0, 10.0) == 0.0  # builds the index
@@ -144,21 +177,25 @@ def replayed():
 
     patch = pytest.MonkeyPatch()
     patch.setattr(GroupActivityMonitor, "rt_ttp", counted)
+    # The monitor keeps only the last window; the oracle folds the whole
+    # history, recorded on the side.
+    full = oracle.record_unpruned(patch)
     try:
         report = service.replay(until=2 * DAY)
     finally:
         patch.undo()
-    return service, report, calls
+    return service, report, calls, full
 
 
 def test_replay_samples_equal_the_oracle_at_each_tick(replayed):
-    service, report, __ = replayed
+    service, report, __, full = replayed
     checked = below_one = 0
     for name, group_report in sorted(report.group_reports.items()):
         monitor = service.monitor.group(name)
         for now, value in group_report.rt_ttp_samples:
             assert value == oracle.rt_ttp(
-                monitor.concurrency, monitor.replication_factor, now, DAY, monitor._start_time
+                full[monitor.concurrency], monitor.replication_factor, now, DAY,
+                monitor._start_time,
             )
             checked += 1
             below_one += value < 1.0
@@ -167,6 +204,6 @@ def test_replay_samples_equal_the_oracle_at_each_tick(replayed):
 
 
 def test_rt_ttp_is_read_once_per_monitor_tick(replayed):
-    __, report, calls = replayed
+    __, report, calls, __ = replayed
     for name, group_report in report.group_reports.items():
         assert calls.count(name) == len(group_report.rt_ttp_samples)
