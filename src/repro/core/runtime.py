@@ -25,7 +25,6 @@ collection on the tenant's dedicated, exactly-sized MPPDB.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
@@ -152,7 +151,9 @@ class GroupRuntime:
     :class:`~repro.workload.logs.SubmissionSource`: a
     :class:`~repro.workload.logs.TenantLog`, or a lazy
     :class:`~repro.workload.composer.LazyTenantLog` that builds each
-    record when it is due.  Extra tenants are ignored.
+    record when it is due.  Extra tenants are ignored.  ``scaling`` is
+    attached to this group (:meth:`ScalingPolicy.attach`), so a policy
+    serves one runtime.
     """
 
     def __init__(
@@ -181,8 +182,6 @@ class GroupRuntime:
         if missing:
             raise DeploymentError(f"logs missing for tenants {sorted(missing)[:5]}")
         self._sim = simulator
-        self._provisioner = provisioner
-        self._sla_fraction = sla_fraction
         self._monitor = monitor if monitor is not None else GroupActivityMonitor(
             deployed.group_name,
             deployed.deployment.design.num_instances,
@@ -190,6 +189,7 @@ class GroupRuntime:
         )
         self._router = router if router is not None else TDDRouter(deployed.instances)
         self._scaling = scaling if scaling is not None else DisabledScaling()
+        self._scaling.attach(deployed, self._monitor, self._router, provisioner, sla_fraction)
         self._interval = monitor_interval_s
         self._sla = SLALedger()
         self._rt_ttp_samples: list[tuple[float, float]] = []
@@ -258,6 +258,7 @@ class GroupRuntime:
         self._routing_counters = tuple(
             routing.labels(group=group, outcome=k) for k in self._routed
         )
+        self._scaling_counter = o.scaling_actions.labels(group=group, kind=self._scaling.kind)
         self._seen = (0,) * 8
         o.metrics.add_collector(self._collect)
         self._monitor.observe_with(o)
@@ -281,7 +282,7 @@ class GroupRuntime:
             self._latency.observe(time, observed)
             self._normalized.observe(time, normalized)
         self._seen = books
-        completed, failed, live, *tallies, __, __ = books  # tallies: overflow, retries, failovers
+        completed, failed, live, *tallies, scaled, __ = books  # tallies: overflow, retries, failovers
         unmet = completed - ledger.met
         totals = (completed + failed + live, completed, *tallies, failed, unmet + failed)
         for handle, total in zip(self._books, totals):
@@ -290,10 +291,7 @@ class GroupRuntime:
             handle.set_total(time, total)
         for instance, total in self._admitted.items():
             self._engine_metrics[instance][0].set_total(time, total)
-        group = self._deployed.group_name
-        kinds = Counter(a.kind for a in self._scaling.actions if a.group_name == group)
-        for kind, count in kinds.items():
-            self._observer.scaling_actions.labels(group=group, kind=kind).set_total(time, count)
+        self._scaling_counter.set_total(time, scaled)
 
     def _wire_instance(self, instance: MPPDBInstance) -> None:
         """Hook this runtime onto an instance it is about to use for the first time.
@@ -533,15 +531,7 @@ class GroupRuntime:
         observer = self._observer
         if observer.enabled:
             self._rt_ttp_gauge.set(time, rt_ttp)
-        action = self._scaling.maybe_scale(
-            time,
-            self._deployed,
-            self._monitor,
-            self._router,
-            self._provisioner,
-            self._sla_fraction,
-            rt_ttp=rt_ttp,
-        )
+        action = self._scaling.maybe_scale(time, rt_ttp)
         # Every reader looks back one window at most, from this tick on.
         self._monitor.prune(time - window)
         if action is not None and observer.enabled:

@@ -27,6 +27,8 @@ Policies:
 from __future__ import annotations
 
 import abc
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, Optional, Sequence
 
@@ -80,12 +82,15 @@ ScaleUp = tuple[Sequence[TenantSpec], int, tuple[int, ...]]
 
 
 class ScalingPolicy(abc.ABC):
-    """Decides whether and how to scale a group when its RT-TTP drops.
+    """Decides whether and how to scale one group when its RT-TTP drops.
 
-    Subclasses choose the scale-up (:meth:`_choose_scale_up`); :meth:`_scale` provisions it.
+    A policy serves one group, like its monitor and router: :meth:`attach`
+    hands it the group and its context once, and each monitor tick then
+    calls :meth:`maybe_scale` with the time alone.  Subclasses choose the
+    scale-up (:meth:`_choose_scale_up`); :meth:`_scale` provisions it.
     """
 
-    #: The :attr:`ScalingAction.kind` of this policy's actions (a policy that acts sets it).
+    #: The :attr:`ScalingAction.kind` of this policy's actions.
     kind: ClassVar[str]
 
     def __init__(self, window_s: float = DAY, identification_epoch_s: float = 10.0) -> None:
@@ -95,109 +100,104 @@ class ScalingPolicy(abc.ABC):
             raise ScalingError("identification_epoch_s must be positive")
         self.window_s = float(window_s)
         self.identification_epoch_s = float(identification_epoch_s)
-        self._in_flight: set[str] = set()
-        self._last_action: dict[str, float] = {}
+        self._in_flight = False
+        self._last_action = -math.inf
         self.actions: list[ScalingAction] = []
 
-    def maybe_scale(
+    def attach(
         self,
-        now: float,
         group: DeployedGroup,
         monitor: GroupActivityMonitor,
         router: QueryRouter,
         provisioner: Provisioner,
         sla_fraction: float,
-        rt_ttp: Optional[float] = None,
-    ) -> Optional[ScalingAction]:
+    ) -> None:
+        """Bind the policy to the one group it serves and its context; a second call raises."""
+        if hasattr(self, "_group"):
+            raise ScalingError(f"policy already serves group {self._group.group_name!r}")
+        self._group = group
+        self._monitor = monitor
+        self._router = router
+        self._provisioner = provisioner
+        self._sla_fraction = sla_fraction
+
+    def maybe_scale(self, now: float, rt_ttp: float) -> Optional[ScalingAction]:
         """Check the trigger and, if firing, start a scale-up.
 
-        At most one scale-up is in flight per group — starting a second
-        MPPDB while the first is still loading would double-pay the
-        heavyweight operation for the same deviation.  ``rt_ttp`` is the
-        group's RT-TTP at ``now`` over :attr:`window_s` when the caller
-        already holds it; otherwise it is read from ``monitor``.
+        ``rt_ttp`` is the group's RT-TTP at ``now`` over :attr:`window_s`.
+        At most one scale-up is in flight — starting a second MPPDB while
+        the first is still loading would double-pay the heavyweight
+        operation for the same deviation.
         """
-        if group.group_name in self._in_flight:
+        if self._in_flight:
             return None
-        last = self._last_action.get(group.group_name)
-        if last is not None and now - last < self.window_s:
+        if now - self._last_action < self.window_s:
             # The sliding window still contains pre-action history; give the
             # previous scale-up one full window to take effect.
             return None
-        if rt_ttp is None:
-            rt_ttp = monitor.rt_ttp(now, self.window_s)
-        if not self._should_scale(now, group.group_name, rt_ttp, sla_fraction):
+        if not self._should_scale(now, rt_ttp):
             return None
-        action = self._scale(now, group, monitor, router, provisioner, sla_fraction)
+        action = self._scale(now)
         if action is not None:
-            self._in_flight.add(group.group_name)
+            self._in_flight = True
             # Cool down from the moment the new MPPDB is *ready*: until the
             # sliding window has fully rotated past the pre-exclusion
             # history, a low RT-TTP only restates the deviation already
             # being handled.
-            self._last_action[group.group_name] = action.expected_ready_time
+            self._last_action = action.expected_ready_time
             self.actions.append(action)
         return action
 
-    def _should_scale(self, now: float, group_name: str, rt_ttp: float, sla_fraction: float) -> bool:
+    def _should_scale(self, now: float, rt_ttp: float) -> bool:
         """The trigger: reactive policies fire once RT-TTP is below ``P``."""
-        return rt_ttp < sla_fraction
+        return rt_ttp < self._sla_fraction
 
-    def _scale(
-        self,
-        now: float,
-        group: DeployedGroup,
-        monitor: GroupActivityMonitor,
-        router: QueryRouter,
-        provisioner: Provisioner,
-        sla_fraction: float,
-    ) -> Optional[ScalingAction]:
+    def _scale(self, now: float) -> Optional[ScalingAction]:
         """Provision the chosen scale-up (``None`` when the policy declines).
 
         Once loaded, the new MPPDB joins the router and takes the pinned tenants.
         """
-        chosen = self._choose_scale_up(now, group, monitor, sla_fraction)
+        chosen = self._choose_scale_up(now)
         if chosen is None:
             return None
         specs, parallelism, pinned = chosen
         tenant_data = [spec.as_tenant_data() for spec in specs]
+        group_name = self._group.group_name
 
         def _ready(instance: MPPDBInstance, time: float) -> None:
-            router.add_instance(instance)
+            self._router.add_instance(instance)
             for tenant_id in pinned:
-                router.pin_tenant(tenant_id, instance)
-                monitor.exclude_tenant(tenant_id, time)
-            self._in_flight.discard(group.group_name)
+                self._router.pin_tenant(tenant_id, instance)
+                self._monitor.exclude_tenant(tenant_id, time)
+            self._in_flight = False
 
-        instance = provisioner.provision(
+        instance = self._provisioner.provision(
             parallelism=parallelism,
             tenants=tenant_data,
-            name=f"{group.group_name}/scale{len(self.actions)}",
+            name=f"{group_name}/scale{len(self.actions)}",
             on_ready=_ready,
         )
         return ScalingAction(
             time=now,
-            group_name=group.group_name,
+            group_name=group_name,
             kind=self.kind,
             over_active=pinned,
             instance_name=instance.name,
-            expected_ready_time=now + provisioner.provision_time_s(parallelism, tenant_data),
+            expected_ready_time=now + self._provisioner.provision_time_s(parallelism, tenant_data),
             loaded_gb=sum(spec.data_gb for spec in specs),
         )
 
     @abc.abstractmethod
-    def _choose_scale_up(
-        self, now: float, group: DeployedGroup, monitor: GroupActivityMonitor, sla_fraction: float
-    ) -> Optional[ScaleUp]:
+    def _choose_scale_up(self, now: float) -> Optional[ScaleUp]:
         """Policy-specific scale-up; returns ``None`` to decline."""
 
 
 class DisabledScaling(ScalingPolicy):
     """Never scales (Figure 7.7a/b)."""
 
-    def _choose_scale_up(
-        self, now: float, group: DeployedGroup, monitor: GroupActivityMonitor, sla_fraction: float
-    ) -> Optional[ScaleUp]:
+    kind = "disabled"
+
+    def _choose_scale_up(self, now: float) -> Optional[ScaleUp]:
         return None
 
 
@@ -239,9 +239,7 @@ class LightweightScaling(ScalingPolicy):
             return float("inf") if recent > 0 else 0.0
         return recent / historical
 
-    def identify_over_active(
-        self, now: float, group: DeployedGroup, monitor: GroupActivityMonitor, sla_fraction: float
-    ) -> list[int]:
+    def identify_over_active(self, now: float) -> list[int]:
         """Tenants "more active than the history indicated" (Chapter 5.1).
 
         Greedy minimal removal: repeatedly evict the tenant deviating most
@@ -256,11 +254,11 @@ class LightweightScaling(ScalingPolicy):
         concurrent execution TDD exists to avoid (see DESIGN.md §5).
         """
         start = max(0.0, now - self.window_s)
-        items = monitor.activity_items(start, now, self.identification_epoch_s)
+        items = self._monitor.activity_items(start, now, self.identification_epoch_s)
         if not items:
             return []
         d = num_epochs(max(now - start, self.identification_epoch_s), self.identification_epoch_s)
-        r = monitor.replication_factor
+        r = self._monitor.replication_factor
         counts = concurrency_profile(items, d)
         remaining = {item.tenant_id: item for item in items}
         over_active: list[int] = []
@@ -268,7 +266,7 @@ class LightweightScaling(ScalingPolicy):
         def ttp() -> float:
             return float(np.count_nonzero(counts <= r)) / d
 
-        while ttp() + 1e-12 < sla_fraction and remaining:
+        while ttp() + 1e-12 < self._sla_fraction and remaining:
             candidate = max(
                 remaining.values(),
                 key=lambda it: (
@@ -296,9 +294,7 @@ class LightweightScaling(ScalingPolicy):
             over_active = [busiest.tenant_id]
         return over_active
 
-    def identify_by_regrouping(
-        self, now: float, monitor: GroupActivityMonitor, sla_fraction: float
-    ) -> list[int]:
+    def identify_by_regrouping(self, now: float) -> list[int]:
         """The literal Chapter 5.1 formulation, kept for comparison.
 
         Runs the tenant-grouping second step on the group's members over
@@ -307,15 +303,15 @@ class LightweightScaling(ScalingPolicy):
         are identified as over-active".
         """
         start = max(0.0, now - self.window_s)
-        items = monitor.activity_items(start, now, self.identification_epoch_s)
+        items = self._monitor.activity_items(start, now, self.identification_epoch_s)
         if not items:
             return []
         d = num_epochs(max(now - start, self.identification_epoch_s), self.identification_epoch_s)
         problem = LIVBPwFCProblem(
             items=tuple(items),
             num_epochs=d,
-            replication_factor=monitor.replication_factor,
-            sla_fraction=sla_fraction,
+            replication_factor=self._monitor.replication_factor,
+            sla_fraction=self._sla_fraction,
         )
         groups = pack_initial_group(
             items, problem.num_epochs, problem.replication_factor, problem.sla_fraction
@@ -323,13 +319,11 @@ class LightweightScaling(ScalingPolicy):
         keepers = set(groups[0]) if groups else set()
         return [item.tenant_id for item in items if item.tenant_id not in keepers]
 
-    def _choose_scale_up(
-        self, now: float, group: DeployedGroup, monitor: GroupActivityMonitor, sla_fraction: float
-    ) -> Optional[ScaleUp]:
-        over_active = self.identify_over_active(now, group, monitor, sla_fraction)
+    def _choose_scale_up(self, now: float) -> Optional[ScaleUp]:
+        over_active = self.identify_over_active(now)
         if not over_active:
             return None
-        specs = [group.deployment.tenant(t) for t in over_active]
+        specs = [self._group.deployment.tenant(t) for t in over_active]
         return specs, max(spec.nodes_requested for spec in specs), tuple(over_active)
 
 
@@ -338,10 +332,9 @@ class WholeGroupScaling(ScalingPolicy):
 
     kind = "whole-group"
 
-    def _choose_scale_up(
-        self, now: float, group: DeployedGroup, monitor: GroupActivityMonitor, sla_fraction: float
-    ) -> Optional[ScaleUp]:
-        return group.deployment.tenants, group.deployment.design.parallelism, ()
+    def _choose_scale_up(self, now: float) -> Optional[ScaleUp]:
+        deployment = self._group.deployment
+        return deployment.tenants, deployment.design.parallelism, ()
 
 
 class ProactiveScaling(LightweightScaling):
@@ -380,11 +373,12 @@ class ProactiveScaling(LightweightScaling):
             raise ScalingError("min_samples must be >= 2")
         self.lead_time_s = float(lead_time_s)
         self.min_samples = int(min_samples)
-        self._samples: dict[str, list[tuple[float, float]]] = {}
+        # The fit reads only the most recent samples.
+        self._samples: deque[tuple[float, float]] = deque(maxlen=4 * self.min_samples)
 
-    def predict_rt_ttp(self, group_name: str, at_time: float) -> Optional[float]:
-        """Linear-trend forecast of a group's RT-TTP, or None if too few samples."""
-        samples = self._samples.get(group_name, [])[-self.min_samples * 4:]
+    def predict_rt_ttp(self, at_time: float) -> Optional[float]:
+        """Linear-trend forecast of the group's RT-TTP, or None if too few samples."""
+        samples = self._samples
         if len(samples) < self.min_samples:
             return None
         times = np.array([t for t, __ in samples])
@@ -397,9 +391,9 @@ class ProactiveScaling(LightweightScaling):
         slope = float(((times - t_mean) * (values - v_mean)).sum()) / denom
         return float(v_mean + slope * (at_time - t_mean))
 
-    def _should_scale(self, now: float, group_name: str, rt_ttp: float, sla_fraction: float) -> bool:
-        self._samples.setdefault(group_name, []).append((now, rt_ttp))
-        if rt_ttp < sla_fraction:
+    def _should_scale(self, now: float, rt_ttp: float) -> bool:
+        self._samples.append((now, rt_ttp))
+        if rt_ttp < self._sla_fraction:
             return True  # already violating: react like the base policy
-        predicted = self.predict_rt_ttp(group_name, now + self.lead_time_s)
-        return predicted is not None and predicted < sla_fraction
+        predicted = self.predict_rt_ttp(now + self.lead_time_s)
+        return predicted is not None and predicted < self._sla_fraction

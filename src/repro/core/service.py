@@ -296,10 +296,13 @@ class ThriftyService:
         """
         if self._advice is None or self._workload is None:
             raise DeploymentError("deploy() must be called before reconsolidate()")
+        deployed = self.master.deployed_groups()
         affected = set(extra_groups or [])
-        for name, runtime in self._runtimes.items():
-            if runtime.scaling_actions:
-                affected.add(name)
+        # A runtime outlives its group: count only groups still deployed.
+        affected.update(
+            name for name, runtime in self._runtimes.items()
+            if runtime.scaling_actions and name in deployed
+        )
         departed = list(departed or [])
         if not affected and not departed:
             raise DeploymentError(
@@ -327,14 +330,14 @@ class ThriftyService:
             departed=departed,
             name_prefix=f"rg{self._reconsolidations}-",
         )
-        # Tear down the affected groups and any elastic-scaling instances
-        # that were spun up for them.
+        # Tear down the affected groups and the elastic-scaling instances
+        # their policies started, in the order they were started.
         torn_down = {g.group_name for g in self._advice.plan} - {g.group_name for g in kept}
         for name in sorted(torn_down):
             self.master.decommission_group(name)
-            for instance in self.provisioner.live_instances():
-                if instance.name.startswith(f"{name}/scale"):
-                    self.provisioner.retire(instance)
+            runtime = self._runtimes.get(name)
+            for action in runtime.scaling_actions if runtime is not None else ():
+                self.provisioner.retire(self.provisioner.get(action.instance_name))
         for group in result.plan:
             if group.group_name not in self.master.deployed_groups():
                 self.master.deploy_group(group, instant=True)

@@ -29,6 +29,7 @@ __all__ = [
     "active_tenant_ratio",
     "concurrency_counts",
     "concurrency_profile",
+    "mean_active_fraction",
     "sorted_union",
 ]
 
@@ -177,10 +178,13 @@ def concurrency_profile(items: Iterable[ActivityItem], num_epochs: int) -> np.nd
 
 def active_tenant_ratio(matrix: ActivityMatrix, conditional: bool = True) -> float:
     """Average fraction of tenants concurrently active (see ComposedWorkload)."""
-    counts = matrix.concurrency_profile()
+    return mean_active_fraction(matrix.concurrency_profile(), len(matrix), conditional)
+
+
+def mean_active_fraction(counts: np.ndarray, num_tenants: int, conditional: bool = True) -> float:
+    """Mean active count over ``num_tenants``; only busy epochs count when ``conditional``."""
     if conditional:
-        busy = counts[counts > 0]
-        if busy.size == 0:
+        counts = counts[counts > 0]
+        if counts.size == 0:
             return 0.0
-        return float(busy.mean()) / len(matrix)
-    return float(counts.mean()) / len(matrix)
+    return float(counts.mean()) / num_tenants

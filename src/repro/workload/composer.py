@@ -35,7 +35,12 @@ from ..config import EvaluationConfig
 from ..errors import WorkloadError
 from ..rng import RngFactory
 from ..units import DAY, HOUR
-from .activity import active_epoch_indices, concurrency_counts, sorted_union
+from .activity import (
+    active_epoch_indices,
+    concurrency_counts,
+    mean_active_fraction,
+    sorted_union,
+)
 from .distributions import sample_node_sizes
 from .generator import SessionLibrary, SessionOrder
 from .logs import QueryRecord, Submissions, TenantLog, log_order
@@ -271,13 +276,9 @@ class ComposedWorkload:
         *raise* the ratio while leaving each tenant's total activity
         unchanged; see DESIGN.md §5 and EXPERIMENTS.md.
         """
-        counts = self.concurrency_profile(epoch_size)
-        if conditional:
-            busy = counts[counts > 0]
-            if busy.size == 0:
-                return 0.0
-            return float(busy.mean()) / len(self.tenants)
-        return float(counts.mean()) / len(self.tenants)
+        return mean_active_fraction(
+            self.concurrency_profile(epoch_size), len(self.tenants), conditional
+        )
 
     def subset(self, tenant_ids: Iterable[int]) -> "ComposedWorkload":
         """A new workload restricted to the given tenants (same library)."""

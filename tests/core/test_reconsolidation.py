@@ -8,6 +8,7 @@ from repro.core.advisor import DeploymentAdvisor
 from repro.core.runtime import GroupRuntime
 from repro.core.service import ThriftyService
 from repro.errors import DeploymentError
+from repro.mppdb.provisioning import Provisioner
 from repro.obs import MemorySink, Observer
 from repro.units import HOUR
 from repro.workload.activity import ActivityMatrix
@@ -197,3 +198,30 @@ class TestReconsolidateAfterScaling:
 
         monkeypatch.setattr(GroupRuntime, "report", no_report)
         assert self._outcome(service, observer, service.reconsolidate()) == expected
+
+    def test_second_cycle_counts_only_deployed_groups(self, monkeypatch):
+        # The first cycle tears tg0 down; its runtime still holds its
+        # scaling actions, but tg0 is no longer a group to reconsolidate.
+        service, observer = self._scaled_service(monkeypatch)
+        first = service.reconsolidate()
+        kept = next(g for g in first.plan if not g.group_name.startswith("rg1-"))
+        leaver = kept.placement.tenant_ids[0]
+        second = service.reconsolidate(departed=[leaver])
+        spans = observer.memory_sink().spans_of("reconsolidation")
+        assert [span.attrs["affected"] for span in spans] == [("tg0",), ()]
+        assert spans[1].attrs["torn_down"] == (kept.group_name,)
+        assert leaver not in {t for g in second.plan for t in g.placement.tenant_ids}
+
+    def test_retires_the_scaled_groups_action_instances_in_order(self, monkeypatch):
+        service, observer = self._scaled_service(monkeypatch)
+        actions = service._runtimes["tg0"].scaling_actions
+        group_instances = [i.name for i in service.master.deployed_groups()["tg0"].instances]
+        retired: list[str] = []
+        retire = Provisioner.retire
+        monkeypatch.setattr(
+            Provisioner, "retire",
+            lambda self, instance: (retired.append(instance.name), retire(self, instance)),
+        )
+        service.reconsolidate()
+        assert actions
+        assert retired == group_instances + [a.instance_name for a in actions]

@@ -1,10 +1,11 @@
 """Golden pins for the run-time replay layer.
 
-Three small seeded replays exercise every per-query path of
+Small seeded replays exercise every per-query path of
 :class:`~repro.core.runtime.GroupRuntime`: abort -> retry -> failover on a
 replicated deployment, park -> deadline failure on a single-replica one,
 and a direct :meth:`~repro.core.runtime.GroupRuntime.run` of one planned
-group that ends with queries still running.  Each replay's observable outcome — SLA
+group that ends with queries still running, once under each scaling
+policy that acts (lightweight, proactive, whole-group).  Each replay's observable outcome — SLA
 records, fault records, RT-TTP samples, scaling actions, and the bytes of
 a :class:`~repro.obs.MemorySink`'s ``spans.jsonl`` and ``summary.json`` —
 is hashed and compared against a constant.  A refactor of the runtime
@@ -24,7 +25,7 @@ from repro.core.advisor import DeploymentAdvisor
 from repro.core.fault import RetryPolicy
 from repro.core.master import DeploymentMaster
 from repro.core.runtime import GroupRuntime, RuntimeReport
-from repro.core.scaling import LightweightScaling
+from repro.core.scaling import LightweightScaling, ProactiveScaling, WholeGroupScaling
 from repro.core.service import ThriftyService
 from repro.mppdb.provisioning import Provisioner
 from repro.obs import MemorySink, Observer, build_summary
@@ -64,6 +65,24 @@ GOLDEN = {
         "sla": "85d2e3ef53a126fc",
         "spans.jsonl": "cd3fd28c13f0b4bd",
         "summary.json": "84774abbac618872",
+    },
+    "proactive": {
+        "counts": "07bbba3d81820da3",
+        "faults": "cf1cbb66a638b486",
+        "rt_ttp": "e93c1276ae4869f8",
+        "scaling": "f9afe5085598e162",
+        "sla": "b1c1f77180c19922",
+        "spans.jsonl": "a4da09ded12b1a7c",
+        "summary.json": "e1c63e54ce8521d6",
+    },
+    "whole-group": {
+        "counts": "35412a36e4993b54",
+        "faults": "cf1cbb66a638b486",
+        "rt_ttp": "5a52a9394403a44d",
+        "scaling": "cbfef9b5ea5192c6",
+        "sla": "85d2e3ef53a126fc",
+        "spans.jsonl": "f247739f938b70ae",
+        "summary.json": "77fba1b110d4aac6",
     },
 }
 
@@ -125,7 +144,15 @@ def _service_replay(config, fault=None):
     return reports, sink, service.simulator
 
 
-def _open_loop_run():
+#: The scaling policy each open-loop case replays its group under.
+_OPEN_LOOP_POLICIES = {
+    "open_loop_run": LightweightScaling,
+    "proactive": ProactiveScaling,
+    "whole-group": WholeGroupScaling,
+}
+
+
+def _open_loop_run(name: str):
     """One planned group replayed by ``GroupRuntime.run`` itself.
 
     The horizon falls 1 s after the last logged query longer than 5 s
@@ -154,7 +181,7 @@ def _open_loop_run():
         sim,
         provisioner,
         sla_fraction=config.sla_fraction,
-        scaling=LightweightScaling(identification_epoch_s=10.0),
+        scaling=_OPEN_LOOP_POLICIES[name](identification_epoch_s=10.0),
         observer=Observer(sink),
     )
     report = runtime.run(until=horizon)
@@ -167,7 +194,7 @@ def _run(name: str):
     if name == "parked":
         config = tiny_config(num_tenants=24, seed=13, replication_factor=1)
         return _service_replay(config, fault=RetryPolicy(queue_deadline_s=600.0)), 1 * DAY
-    return _open_loop_run()
+    return _open_loop_run(name)
 
 
 def _reaches_its_path(name: str, reports: list[RuntimeReport], sink: MemorySink) -> bool:

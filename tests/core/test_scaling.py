@@ -16,14 +16,15 @@ from repro.workload.tenant import TenantSpec
 _WINDOW = 1000.0
 
 
-def _setup(num_tenants=6, nodes=4):
+def _setup(policy=None, sla_fraction=0.999, num_tenants=6, nodes=4, name="tg0"):
+    """A three-instance group, with ``policy`` attached to it when given."""
     sim = Simulator()
     provisioner = Provisioner(sim)
     tenants = tuple(
         TenantSpec(tenant_id=i, nodes_requested=nodes, data_gb=nodes * 100.0)
         for i in range(1, num_tenants + 1)
     )
-    design, placement = design_for_group("tg0", tenants, num_instances=3)
+    design, placement = design_for_group(name, tenants, num_instances=3)
     deployment = GroupDeployment(design=design, placement=placement, tenants=tenants)
     instances = tuple(
         provisioner.provision(
@@ -35,11 +36,18 @@ def _setup(num_tenants=6, nodes=4):
         for i, name in enumerate(design.instance_names())
     )
     deployed = DeployedGroup(deployment=deployment, instances=instances)
-    monitor = GroupActivityMonitor("tg0", replication_factor=3)
+    monitor = GroupActivityMonitor(name, replication_factor=3)
     for t in tenants:
         monitor.register_tenant(t.tenant_id, t.nodes_requested)
     router = TDDRouter(instances)
+    if policy is not None:
+        policy.attach(deployed, monitor, router, provisioner, sla_fraction)
     return sim, provisioner, deployed, monitor, router
+
+
+def _tick(policy, monitor, now=_WINDOW):
+    """One monitor tick, as the runtime makes it: RT-TTP over the policy's window."""
+    return policy.maybe_scale(now, monitor.rt_ttp(now, policy.window_s))
 
 
 def _make_over_active(monitor, sim, over_tenant=1, quiet=(2, 3, 4)):
@@ -55,67 +63,61 @@ def _make_over_active(monitor, sim, over_tenant=1, quiet=(2, 3, 4)):
 
 class TestTrigger:
     def test_no_action_above_sla(self):
-        sim, provisioner, deployed, monitor, router = _setup()
         policy = LightweightScaling(window_s=_WINDOW)
-        action = policy.maybe_scale(
-            _WINDOW, deployed, monitor, router, provisioner, sla_fraction=0.9
-        )
+        sim, provisioner, deployed, monitor, router = _setup(policy, sla_fraction=0.9)
+        action = _tick(policy, monitor)
         assert action is None
 
     def test_disabled_never_scales(self):
-        sim, provisioner, deployed, monitor, router = _setup()
-        _make_over_active(monitor, sim)
         policy = DisabledScaling(window_s=_WINDOW)
-        action = policy.maybe_scale(
-            _WINDOW, deployed, monitor, router, provisioner, sla_fraction=0.999
-        )
+        sim, provisioner, deployed, monitor, router = _setup(policy)
+        _make_over_active(monitor, sim)
+        action = _tick(policy, monitor)
         assert action is None
         assert policy.actions == []
 
     def test_lightweight_fires_below_sla(self):
-        sim, provisioner, deployed, monitor, router = _setup()
-        _make_over_active(monitor, sim)
         policy = LightweightScaling(window_s=_WINDOW, identification_epoch_s=10.0)
-        action = policy.maybe_scale(
-            _WINDOW, deployed, monitor, router, provisioner, sla_fraction=0.999
-        )
+        sim, provisioner, deployed, monitor, router = _setup(policy)
+        _make_over_active(monitor, sim)
+        action = _tick(policy, monitor)
         assert action is not None
         assert action.kind == "lightweight"
         assert 1 in action.over_active
 
     def test_single_action_in_flight(self):
-        sim, provisioner, deployed, monitor, router = _setup()
-        _make_over_active(monitor, sim)
         policy = LightweightScaling(window_s=_WINDOW, identification_epoch_s=10.0)
-        first = policy.maybe_scale(_WINDOW, deployed, monitor, router, provisioner, 0.999)
-        second = policy.maybe_scale(_WINDOW, deployed, monitor, router, provisioner, 0.999)
+        sim, provisioner, deployed, monitor, router = _setup(policy)
+        _make_over_active(monitor, sim)
+        first = _tick(policy, monitor)
+        second = _tick(policy, monitor)
         assert first is not None
         assert second is None
 
 
 class TestLightweightMechanics:
     def test_over_active_identification(self):
-        sim, provisioner, deployed, monitor, router = _setup()
-        _make_over_active(monitor, sim, over_tenant=3, quiet=(1, 2, 4))
         policy = LightweightScaling(window_s=_WINDOW, identification_epoch_s=10.0)
-        over = policy.identify_over_active(_WINDOW, deployed, monitor, 0.999)
+        sim, provisioner, deployed, monitor, router = _setup(policy)
+        _make_over_active(monitor, sim, over_tenant=3, quiet=(1, 2, 4))
+        over = policy.identify_over_active(_WINDOW)
         assert over == [3]
 
     def test_new_instance_loads_only_over_active_data(self):
-        sim, provisioner, deployed, monitor, router = _setup()
-        _make_over_active(monitor, sim)
         policy = LightweightScaling(window_s=_WINDOW, identification_epoch_s=10.0)
-        action = policy.maybe_scale(_WINDOW, deployed, monitor, router, provisioner, 0.999)
+        sim, provisioner, deployed, monitor, router = _setup(policy)
+        _make_over_active(monitor, sim)
+        action = _tick(policy, monitor)
         # One 4-node tenant = 400 GB, not the whole group's 2.4 TB.
         assert action.loaded_gb == 400.0
         group_gb = sum(t.data_gb for t in deployed.deployment.tenants)
         assert action.loaded_gb < group_gb / 2
 
     def test_router_pinned_after_ready(self):
-        sim, provisioner, deployed, monitor, router = _setup()
-        _make_over_active(monitor, sim)
         policy = LightweightScaling(window_s=_WINDOW, identification_epoch_s=10.0)
-        action = policy.maybe_scale(_WINDOW, deployed, monitor, router, provisioner, 0.999)
+        sim, provisioner, deployed, monitor, router = _setup(policy)
+        _make_over_active(monitor, sim)
+        action = _tick(policy, monitor)
         assert router.pinned_tenants == {}
         sim.run()  # provisioning completes
         assert 1 in router.pinned_tenants
@@ -126,32 +128,30 @@ class TestLightweightMechanics:
         assert monitor.excluded_tenants == {1}
 
     def test_ready_time_from_load_model(self):
-        sim, provisioner, deployed, monitor, router = _setup()
-        _make_over_active(monitor, sim)
         policy = LightweightScaling(window_s=_WINDOW, identification_epoch_s=10.0)
-        action = policy.maybe_scale(_WINDOW, deployed, monitor, router, provisioner, 0.999)
+        sim, provisioner, deployed, monitor, router = _setup(policy)
+        _make_over_active(monitor, sim)
+        action = _tick(policy, monitor)
         expected = _WINDOW + provisioner.load_model.provision_seconds(4, 400.0)
         assert action.expected_ready_time == pytest.approx(expected)
 
     def test_cooldown_after_completion(self):
-        sim, provisioner, deployed, monitor, router = _setup()
-        _make_over_active(monitor, sim)
         policy = LightweightScaling(window_s=_WINDOW, identification_epoch_s=10.0)
-        policy.maybe_scale(_WINDOW, deployed, monitor, router, provisioner, 0.999)
+        sim, provisioner, deployed, monitor, router = _setup(policy)
+        _make_over_active(monitor, sim)
+        _tick(policy, monitor)
         sim.run()  # completes, _in_flight cleared
         # Within one window of the action: no re-fire even if RT-TTP low.
-        action = policy.maybe_scale(
-            sim.now, deployed, monitor, router, provisioner, 0.999
-        )
+        action = _tick(policy, monitor, sim.now)
         assert action is None
 
 
 class TestWholeGroupScaling:
     def test_loads_everything(self):
-        sim, provisioner, deployed, monitor, router = _setup()
-        _make_over_active(monitor, sim)
         policy = WholeGroupScaling(window_s=_WINDOW)
-        action = policy.maybe_scale(_WINDOW, deployed, monitor, router, provisioner, 0.999)
+        sim, provisioner, deployed, monitor, router = _setup(policy)
+        _make_over_active(monitor, sim)
+        action = _tick(policy, monitor)
         assert action.kind == "whole-group"
         assert action.loaded_gb == sum(t.data_gb for t in deployed.deployment.tenants)
         sim.run()
@@ -160,15 +160,15 @@ class TestWholeGroupScaling:
         assert len(router.instances) == 4
 
     def test_lightweight_is_faster_than_whole_group(self):
-        sim1, prov1, dep1, mon1, rout1 = _setup()
-        _make_over_active(mon1, sim1)
         light = LightweightScaling(window_s=_WINDOW, identification_epoch_s=10.0)
-        a1 = light.maybe_scale(_WINDOW, dep1, mon1, rout1, prov1, 0.999)
+        sim1, prov1, dep1, mon1, rout1 = _setup(light)
+        _make_over_active(mon1, sim1)
+        a1 = _tick(light, mon1)
 
-        sim2, prov2, dep2, mon2, rout2 = _setup()
-        _make_over_active(mon2, sim2)
         whole = WholeGroupScaling(window_s=_WINDOW)
-        a2 = whole.maybe_scale(_WINDOW, dep2, mon2, rout2, prov2, 0.999)
+        sim2, prov2, dep2, mon2, rout2 = _setup(whole)
+        _make_over_active(mon2, sim2)
+        a2 = _tick(whole, mon2)
         assert a1.expected_ready_time < a2.expected_ready_time
 
 
@@ -178,3 +178,11 @@ class TestValidation:
             LightweightScaling(window_s=0.0)
         with pytest.raises(ScalingError):
             LightweightScaling(identification_epoch_s=0.0)
+
+    def test_one_policy_serves_one_group(self):
+        policy = LightweightScaling(window_s=_WINDOW)
+        _setup(policy)
+        with pytest.raises(ScalingError, match="tg0"):
+            _setup(policy, name="tg1")
+        with pytest.raises(ScalingError):
+            _setup(policy)

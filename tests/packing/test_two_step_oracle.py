@@ -17,6 +17,7 @@ from repro.packing.two_step import _INITIAL_LEVELS, pack_initial_group
 from repro.units import num_epochs
 from repro.workload.activity import ActivityItem
 from tests.conftest import make_item
+from tests.core.test_scaling import _setup
 from tests.packing.oracle import oracle_pack_initial_group
 
 
@@ -128,7 +129,11 @@ class TestRegroupingParity:
             else:
                 monitor.on_query_finish(tenant_id, time)
         policy = LightweightScaling(window_s=window, identification_epoch_s=epoch)
-        over_active = policy.identify_by_regrouping(window, monitor, 0.95)
+        # Regrouping reads only the monitor and P; the rest of the context
+        # is a stand-in group of the same tenants.
+        __, provisioner, deployed, __, router = _setup(num_tenants=12)
+        policy.attach(deployed, monitor, router, provisioner, 0.95)
+        over_active = policy.identify_by_regrouping(window)
 
         items = monitor.activity_items(0.0, window, epoch)
         groups = oracle_pack_initial_group(items, num_epochs(window, epoch), 2, 0.95)
